@@ -18,7 +18,7 @@ from repro.cache.simulator import SingleConfigSimulator
 from repro.core.config import CacheConfig
 from repro.core.dew import DewSimulator
 from repro.core.results import POLICY_TABLE, ConfigResult, ResultsFrame, SimulationResults
-from repro.engine import build_grid_jobs, get_engine, merge_results, run_sweep
+from repro.engine import SweepOutcome, build_grid_jobs, get_engine, merge_results, run_sweep
 from repro.explore.pareto import pareto_front_frame, size_missrate_front
 from repro.explore.tuner import CacheTuner
 from repro.lru.janapsatya import JanapsatyaSimulator
@@ -219,25 +219,26 @@ def test_micro_fused_sweep_beats_per_job_baseline(pr4_report):
     """The fused executor must be >= 1.5x over per-job on a 4-job 1M sweep.
 
     Four DEW jobs (two block sizes x two associativities) over a 1M-access
-    high-locality trace: the per-job scheme pays four full trace passes (one
-    decode + one Python walk per raw access each); the fused executor
-    decodes once, computes each block-size shift and run-length collapse
-    once, and feeds all four engines in a single pass.  Output rows must be
-    byte-identical.
+    high-locality trace: running each job alone through ``Engine.run`` pays
+    four full trace passes (one decode + one Python walk per raw access
+    each); the fused executor decodes once, computes each block-size shift
+    and run-length collapse once, and feeds all four engines in a single
+    pass.  Output rows must be byte-identical.
     """
     trace = SequentialStream(stride=1, region_bytes=1 << 17).generate(1_000_000, seed=1)
     jobs = build_grid_jobs([16, 64], [2, 4], SET_SIZES)
     assert len(jobs) == 4
 
     per_job_start = time.perf_counter()
-    per_job = run_sweep(trace, jobs, fused=False)
+    per_job = tuple(job.build().run(trace) for job in jobs)
     per_job_seconds = time.perf_counter() - per_job_start
 
     fused_start = time.perf_counter()
-    fused = run_sweep(trace, jobs, fused=True)
+    fused = run_sweep(trace, jobs)
     fused_seconds = time.perf_counter() - fused_start
 
-    assert fused.as_rows() == per_job.as_rows()
+    baseline = SweepOutcome(tuple(jobs), per_job, trace_name=trace.name)
+    assert fused.as_rows() == baseline.as_rows()
     speedup = per_job_seconds / fused_seconds
     pr4_report["pr4_fused_sweep_vs_per_job"] = speedup
     assert speedup >= 1.5, (
@@ -465,34 +466,31 @@ def test_micro_dew_scales_with_levels(benchmark):
     assert evaluations < len(addresses) * 15
 
 
-def _shm_bench_trace():
+def _fanout_bench_trace():
     """A multi-million-access high-locality stream (length env-overridable)."""
     length = int(os.environ.get("REPRO_BENCH_SHM_REQUESTS", "2000000"))
     return SequentialStream(stride=1, region_bytes=1 << 18).generate(length, seed=1)
 
 
-def test_micro_shm_worker_setup_beats_per_worker_decode(pr6_report):
-    """Eight shm attaches must beat eight per-worker trace decodes >= 2x.
+def test_micro_plane_worker_setup_beats_per_worker_decode(pr6_report):
+    """Eight plane attaches must beat eight per-worker trace decodes >= 2x.
 
-    This isolates exactly the cost the shared plane removes from the pooled
-    fan-out.  Without the plane, every worker receives its own copy of the
-    trace (pickled across the spawn boundary; a private COW-backed copy
-    under fork) and re-derives the per-block-size shift and run-length
-    arrays locally.  With the plane, the parent decodes once into a shared
-    segment and each worker unpickles a ~700-byte descriptor and maps the
-    arrays read-only.  At 8 workers the publish cost is amortised 8 ways,
-    so the shared path must win by >= 2x — and the arrays served must be
-    bit-identical.
+    This isolates exactly the cost the plane removes from the pooled
+    fan-out.  Without it, every worker receives its own copy of the trace
+    (pickled across the spawn boundary; a private COW-backed copy under
+    fork) and re-derives the per-block-size shift and run-length arrays
+    locally.  With it, the parent fingerprints the trace, decodes it once
+    into an ephemeral plane file, and each worker unpickles a small
+    descriptor and maps the arrays read-only.  At 8 workers the write is
+    amortised 8 ways, so the plane must win by >= 2x — and the arrays
+    served must be bit-identical.
     """
-    from repro.engine.shmplane import (
-        AttachedPlane,
-        LocalChunkSource,
-        SharedTracePlane,
-        decode_requirements,
-    )
+    from repro.trace.plane import LocalChunkSource, decode_requirements
+    from repro.trace.planecache import CachedPlane, ephemeral_plane
+    from repro.trace.trace import Trace
     import pickle
 
-    trace = _shm_bench_trace()
+    trace = _fanout_bench_trace()
     jobs = build_grid_jobs([16, 64], [2, 4], SET_SIZES)
     plan = decode_requirements(jobs)
     workers = 8
@@ -515,35 +513,34 @@ def test_micro_shm_worker_setup_beats_per_worker_decode(pr6_report):
             checks = touch_all(local)
         return time.perf_counter() - start, checks
 
-    def time_shared_plane():
+    def time_plane():
         start = time.perf_counter()
         checks = None
-        with SharedTracePlane.publish(trace, jobs, chunk_size=chunk) as plane:
-            layout_blob = pickle.dumps(plane.descriptor())
+        # A fresh view, so every round pays the fingerprint the plane key needs.
+        fresh = Trace(trace.addresses, trace.access_types, trace.sizes, name=trace.name)
+        with ephemeral_plane(fresh, jobs, chunk_size=chunk) as plane:
+            descriptor_blob = pickle.dumps(plane.descriptor())
             for _ in range(workers):
-                attached = AttachedPlane.attach(pickle.loads(layout_blob))
-                try:
+                with CachedPlane.attach(pickle.loads(descriptor_blob)) as attached:
                     checks = touch_all(attached)
-                finally:
-                    attached.close()
         return time.perf_counter() - start, checks
 
     local_seconds, local_checks = min(
         (time_per_worker_decode() for _ in range(3)), key=lambda pair: pair[0]
     )
-    shared_seconds, shared_checks = min(
-        (time_shared_plane() for _ in range(3)), key=lambda pair: pair[0]
+    plane_seconds, plane_checks = min(
+        (time_plane() for _ in range(3)), key=lambda pair: pair[0]
     )
 
-    assert shared_checks == local_checks
-    speedup = local_seconds / shared_seconds
-    pr6_report["pr6_shm_fanout_setup_vs_per_worker_decode"] = speedup
-    with SharedTracePlane.publish(trace, jobs, chunk_size=chunk) as plane:
+    assert plane_checks == local_checks
+    speedup = local_seconds / plane_seconds
+    pr6_report["pr6_plane_fanout_setup_vs_per_worker_decode"] = speedup
+    with ephemeral_plane(trace, jobs, chunk_size=chunk) as plane:
         descriptor_bytes = len(pickle.dumps(plane.descriptor()))
-    pr6_report["pr6_shm_descriptor_bytes"] = descriptor_bytes
+    pr6_report["pr6_plane_descriptor_bytes"] = descriptor_bytes
     pr6_report["pr6_trace_bytes"] = int(trace.addresses.nbytes)
     assert speedup >= 2.0, (
-        f"{workers} shared-plane attaches ({shared_seconds:.3f}s) should be "
+        f"{workers} plane attaches ({plane_seconds:.3f}s) should be "
         f">= 2x faster than {workers} per-worker decodes "
         f"({local_seconds:.3f}s), got {speedup:.2f}x"
     )
@@ -552,16 +549,15 @@ def test_micro_shm_worker_setup_beats_per_worker_decode(pr6_report):
     assert descriptor_bytes * 1000 < trace.addresses.nbytes
 
 
-def test_micro_shm_worker_scaling_curve(pr6_report):
-    """Record the 1/2/4/8-worker wall-clock curve, shm on and off.
+def test_micro_plane_worker_scaling_curve(pr6_report):
+    """Record the 1/2/4/8-worker wall-clock curve through the plane fan-out.
 
-    Every point must produce byte-identical rows; the shm path must never
-    cost more than a small tolerance over the copy path (on a single-core
-    runner the pool adds overhead rather than parallel speedup, so the
-    curve's value is the recorded trajectory — per-point throughput in
-    accesses/second — not a hard scaling assertion).
+    Every point must produce byte-identical rows.  On a runner with fewer
+    cores than workers the pool adds overhead rather than parallel speedup,
+    so the curve's value is the recorded trajectory — per-point throughput
+    in accesses/second — not a hard scaling assertion.
     """
-    trace = _shm_bench_trace()
+    trace = _fanout_bench_trace()
     jobs = build_grid_jobs([16, 64], [2, 4], SET_SIZES)
 
     def timed(**kwargs):
@@ -572,20 +568,10 @@ def test_micro_shm_worker_scaling_curve(pr6_report):
     serial_seconds, serial = timed()
     pr6_report["pr6_scaling_serial_seconds"] = serial_seconds
     for workers in (1, 2, 4, 8):
-        for shm in (True, False):
-            seconds, outcome = timed(workers=workers, shm=shm)
-            assert outcome.as_rows() == serial.as_rows(), (workers, shm)
-            key = f"pr6_scaling_w{workers}_{'shm' if shm else 'noshm'}"
-            pr6_report[key + "_seconds"] = seconds
-            pr6_report[key + "_accesses_per_second"] = len(trace) / seconds
-    shm8 = pr6_report["pr6_scaling_w8_shm_seconds"]
-    noshm8 = pr6_report["pr6_scaling_w8_noshm_seconds"]
-    pr6_report["pr6_scaling_w8_shm_vs_noshm"] = noshm8 / shm8
-    # Guard against the plane *regressing* the pooled path.
-    assert shm8 <= noshm8 * 1.25, (
-        f"8-worker shm sweep ({shm8:.3f}s) should not cost more than the "
-        f"copy path ({noshm8:.3f}s) plus tolerance"
-    )
+        seconds, outcome = timed(workers=workers)
+        assert outcome.as_rows() == serial.as_rows(), workers
+        pr6_report[f"pr6_scaling_w{workers}_seconds"] = seconds
+        pr6_report[f"pr6_scaling_w{workers}_accesses_per_second"] = len(trace) / seconds
 
 
 def _plane_bench_trace_file(directory):
@@ -608,8 +594,8 @@ def test_micro_warm_plane_attach_beats_cold_decode(tmp_path, pr9_report):
     path maps the cached columnar arrays read-only and only faults the
     pages it walks.  Both paths must serve bit-identical arrays.
     """
-    from repro.engine.shmplane import LocalChunkSource, decode_requirements
     from repro.trace.files import load_trace_file
+    from repro.trace.plane import LocalChunkSource, decode_requirements
     from repro.trace.planecache import PlaneKey, open_plane_cache
 
     path = _plane_bench_trace_file(tmp_path)
@@ -756,7 +742,7 @@ def test_micro_metrics_overhead_on_fused_hot_path(pr10_report):
 
     def timed_sweep():
         start = time.perf_counter()
-        outcome = run_sweep(trace, jobs, fused=True)
+        outcome = run_sweep(trace, jobs)
         return time.perf_counter() - start, outcome
 
     timed_sweep()  # warm caches before either arm is measured

@@ -21,133 +21,36 @@ import pytest
 from repro.bench.harness import ExperimentRunner
 
 
-@pytest.fixture(scope="session")
-def pr4_report():
-    """Collector for machine-readable speedup measurements.
+def _report_fixture(number: int, what: str):
+    """A session fixture ``pr<number>_report`` collecting one bench trajectory.
 
-    Benchmarks that measure a "new path vs old path" ratio record it here
-    (``report["name"] = ratio``); at session end the collected trajectory is
-    written as ``BENCH_PR4.json`` (path overridable via the
-    ``REPRO_BENCH_PR4`` environment variable) so CI can archive how each
-    optimisation layer performs over time.
+    Benchmarks record measurements into the yielded dict
+    (``report["name"] = value``); at session end a non-empty collection is
+    written as ``BENCH_PR<number>.json`` (path overridable via the
+    ``REPRO_BENCH_PR<number>`` environment variable) so CI can archive how
+    each layer performs over time.
     """
-    data = {}
-    yield data
-    if data:
-        path = os.environ.get("REPRO_BENCH_PR4", "BENCH_PR4.json")
-        with open(path, "w", encoding="ascii") as handle:
-            json.dump(dict(sorted(data.items())), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+
+    def collector():
+        data = {}
+        yield data
+        if data:
+            path = os.environ.get(f"REPRO_BENCH_PR{number}", f"BENCH_PR{number}.json")
+            with open(path, "w", encoding="ascii") as handle:
+                json.dump(dict(sorted(data.items())), handle, indent=2, sort_keys=True)
+                handle.write("\n")
+
+    collector.__doc__ = f"Collector for {what}, written as BENCH_PR{number}.json."
+    return pytest.fixture(scope="session", name=f"pr{number}_report")(collector)
 
 
-@pytest.fixture(scope="session")
-def pr5_report():
-    """Collector for the service throughput benchmark's measurements.
-
-    Written as ``BENCH_PR5.json`` (path overridable via ``REPRO_BENCH_PR5``)
-    at session end: submissions, dedup ratio, cell reuse and p50/p95
-    submit-to-done latency — the serving layer's counterpart to the
-    BENCH_PR4 speedup trajectory.
-    """
-    data = {}
-    yield data
-    if data:
-        path = os.environ.get("REPRO_BENCH_PR5", "BENCH_PR5.json")
-        with open(path, "w", encoding="ascii") as handle:
-            json.dump(dict(sorted(data.items())), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-
-@pytest.fixture(scope="session")
-def pr6_report():
-    """Collector for the shared-memory fan-out benchmark's measurements.
-
-    Written as ``BENCH_PR6.json`` (path overridable via ``REPRO_BENCH_PR6``)
-    at session end: the worker-scaling wall-clock curve (1/2/4/8 workers,
-    shm on/off), the per-worker setup-cost ratio the plane buys, and the
-    descriptor-vs-trace transfer sizes that make the fan-out zero-copy.
-    """
-    data = {}
-    yield data
-    if data:
-        path = os.environ.get("REPRO_BENCH_PR6", "BENCH_PR6.json")
-        with open(path, "w", encoding="ascii") as handle:
-            json.dump(dict(sorted(data.items())), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-
-@pytest.fixture(scope="session")
-def pr7_report():
-    """Collector for the multi-daemon fleet benchmark's measurements.
-
-    Written as ``BENCH_PR7.json`` (path overridable via ``REPRO_BENCH_PR7``)
-    at session end: jobs/sec vs daemon count on the saturation workload,
-    socket-vs-polling submit-to-done latency, and the SIGKILL-failover
-    outcome — the horizontal-scaling counterpart to BENCH_PR5/6.
-    """
-    data = {}
-    yield data
-    if data:
-        path = os.environ.get("REPRO_BENCH_PR7", "BENCH_PR7.json")
-        with open(path, "w", encoding="ascii") as handle:
-            json.dump(dict(sorted(data.items())), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-
-@pytest.fixture(scope="session")
-def pr8_report():
-    """Collector for the mechanism-engine benchmark's measurements.
-
-    Written as ``BENCH_PR8.json`` (path overridable via ``REPRO_BENCH_PR8``)
-    at session end: the victim-cache run-length-collapse speedup over the
-    raw per-access walk — the mechanism engines' counterpart to the
-    BENCH_PR4 collapse pin.
-    """
-    data = {}
-    yield data
-    if data:
-        path = os.environ.get("REPRO_BENCH_PR8", "BENCH_PR8.json")
-        with open(path, "w", encoding="ascii") as handle:
-            json.dump(dict(sorted(data.items())), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-
-@pytest.fixture(scope="session")
-def pr9_report():
-    """Collector for the trace plane cache benchmark's measurements.
-
-    Written as ``BENCH_PR9.json`` (path overridable via ``REPRO_BENCH_PR9``)
-    at session end: the warm mmap-attach speedup over a cold text decode,
-    the sidecar fingerprint speedup over a full-file hash, and the served
-    warm-corpus submit-to-done p50 — the decode-once counterpart to the
-    BENCH_PR4-PR8 trajectories.
-    """
-    data = {}
-    yield data
-    if data:
-        path = os.environ.get("REPRO_BENCH_PR9", "BENCH_PR9.json")
-        with open(path, "w", encoding="ascii") as handle:
-            json.dump(dict(sorted(data.items())), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-
-@pytest.fixture(scope="session")
-def pr10_report():
-    """Collector for the telemetry plane benchmark's measurements.
-
-    Written as ``BENCH_PR10.json`` (path overridable via ``REPRO_BENCH_PR10``)
-    at session end: the fused hot-path overhead ratio with the metrics
-    registry enabled vs disabled (pinned < 2%) and a per-phase breakdown of
-    one instrumented sweep — the observability counterpart to the
-    BENCH_PR4-PR9 trajectories.
-    """
-    data = {}
-    yield data
-    if data:
-        path = os.environ.get("REPRO_BENCH_PR10", "BENCH_PR10.json")
-        with open(path, "w", encoding="ascii") as handle:
-            json.dump(dict(sorted(data.items())), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+pr4_report = _report_fixture(4, "each optimisation layer's new-vs-old speedup ratios")
+pr5_report = _report_fixture(5, "the service throughput benchmark (dedup, cell reuse, p50/p95)")
+pr6_report = _report_fixture(6, "the pooled fan-out's plane setup ratio and worker-scaling curve")
+pr7_report = _report_fixture(7, "the fleet benchmark (jobs/sec vs daemons, socket latency, failover)")
+pr8_report = _report_fixture(8, "the mechanism engines' run-length-collapse speedup")
+pr9_report = _report_fixture(9, "the trace plane cache (warm attach, sidecar, served warm p50)")
+pr10_report = _report_fixture(10, "the telemetry plane's hot-path overhead and phase breakdown")
 
 
 @pytest.fixture(scope="session")

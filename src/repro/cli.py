@@ -197,22 +197,6 @@ def _parse_int_list(text: str, what: str) -> List[int]:
     return values
 
 
-def _shm_mode(args: argparse.Namespace) -> Optional[bool]:
-    """Tri-state shared-memory choice from ``--shm``/``--no-shm``.
-
-    ``None`` (neither flag) lets :func:`~repro.engine.sweep.run_sweep` use
-    the shared plane automatically for pooled fused work with a fallback to
-    the copy path; ``--shm`` forces it (and routes even serial fused runs
-    through the plane); ``--no-shm`` is the escape hatch that disables
-    shared memory entirely.
-    """
-    if getattr(args, "shm", False):
-        return True
-    if getattr(args, "no_shm", False):
-        return False
-    return None
-
-
 def _print_result_rows(merged) -> None:
     """The per-configuration text lines shared by ``sweep`` and ``result``."""
     for result in merged:
@@ -274,7 +258,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # means the sweep never opens the trace file at all — the mmap-attached
     # plane is the chunk source and only walked pages are read.
     sweep_input = None
-    if cache is not None and not args.no_fused:
+    if cache is not None:
         known = cache.cached_fingerprint(args.trace)
         if known is not None:
             sweep_input = cache.get(
@@ -290,8 +274,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             workers=args.workers,
             store=store,
             force=args.force,
-            fused=not args.no_fused,
-            shm=_shm_mode(args),
             trace_cache=cache,
         )
     finally:
@@ -662,7 +644,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store=args.store,
         workers=args.workers,
         sweep_workers=args.sweep_workers,
-        shm=_shm_mode(args),
         poll_interval=args.poll,
         daemon_id=args.daemon_id,
         lease_seconds=args.lease,
@@ -1030,17 +1011,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--associativity", type=int, default=4)
         sub.add_argument("--max-sets", type=int, default=16384)
 
-    def add_shm_arguments(sub: argparse.ArgumentParser) -> None:
-        group = sub.add_mutually_exclusive_group()
-        group.add_argument("--shm", action="store_true",
-                           help="force the shared-memory trace plane (decode "
-                                "once, workers map it zero-copy); fails if the "
-                                "platform has no shared memory")
-        group.add_argument("--no-shm", action="store_true",
-                           help="disable the shared-memory trace plane and ship "
-                                "each worker its own trace copy (results are "
-                                "identical)")
-
     dew = subparsers.add_parser("dew", help="run DEW over a trace")
     add_family_arguments(dew)
     dew.add_argument("--collapse", action="store_true",
@@ -1082,10 +1052,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "simulated for this trace are loaded, not re-run")
     sweep.add_argument("--force", action="store_true",
                        help="with --store, re-execute every job even when cached")
-    sweep.add_argument("--no-fused", action="store_true",
-                       help="disable the fused single-pass executor and run one "
-                            "full trace pass per job (results are identical)")
-    add_shm_arguments(sweep)
     sweep.add_argument("--trace-cache", dest="trace_cache", default=None,
                        metavar="DIR",
                        help="decoded-trace plane cache directory: the first "
@@ -1099,8 +1065,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output format (json rows use a stable sort order)")
     sweep.add_argument("--profile", action="store_true",
                        help="print a per-phase wall-clock breakdown (decode, "
-                            "plane ensure, shm publish, store lookup, "
-                            "simulate, persist, merge) to stderr")
+                            "plane ensure, store lookup, simulate, persist, "
+                            "merge) to stderr")
     sweep.set_defaults(func=_cmd_sweep)
 
     verify = subparsers.add_parser("verify", help="cross-check DEW against the reference simulator")
@@ -1211,7 +1177,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="jobs executed concurrently (bounded worker pool)")
     serve.add_argument("--sweep-workers", type=int, default=1,
                        help="process fan-out within each job's sweep")
-    add_shm_arguments(serve)
     serve.add_argument("--poll", type=float, default=0.1, metavar="SECONDS",
                        help="idle sleep between scheduler ticks")
     serve.add_argument("--drain", action="store_true",

@@ -16,19 +16,22 @@ strings/enums collapse to the enum's value), so semantically equal jobs have
 equal identities — and, through :meth:`SweepJob.store_key`, equal
 content-addresses in the persistent result store.
 
-:func:`run_sweep` executes the jobs — serially, or fanned out over a
-``multiprocessing`` pool — and merges the per-job
-:class:`~repro.core.results.SimulationResults` deterministically: results are
-collected in job order regardless of completion order, and configurations
-reported by more than one job (direct-mapped results come free with every DEW
-run) are deduplicated with an exactness check.  With ``store=`` the sweep is
-*incremental*: cached cells are loaded instead of simulated, fresh cells are
-persisted the moment they finish (so a killed sweep resumes where it died),
-and the merged outcome is byte-identical to a cold run.
+:func:`run_sweep` executes the jobs through the :class:`FusedSweepExecutor`
+— serially, or fanned out over a ``multiprocessing`` pool whose workers
+attach one decoded trace plane (:mod:`repro.trace.planecache`) — and merges
+the per-job :class:`~repro.core.results.SimulationResults` deterministically:
+results are collected in job order regardless of completion order, and
+configurations reported by more than one job (direct-mapped results come free
+with every DEW run) are deduplicated with an exactness check.  With
+``store=`` the sweep is *incremental*: cached cells are loaded instead of
+simulated, fresh cells are persisted the moment they finish (so a killed
+sweep resumes where it died), and the merged outcome is byte-identical to a
+cold run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import multiprocessing
 import os
@@ -52,16 +55,16 @@ import numpy as np
 from repro.core.config import CacheConfig
 from repro.core.results import ResultsFrame, SimulationResults, mechanism_code
 from repro.engine.base import Engine, get_engine
-from repro.engine.shmplane import (
-    AttachedPlane,
-    LocalChunkSource,
-    PlaneLayout,
-    SharedTracePlane,
-    TraceChunkSource,
-)
 from repro.errors import EngineError, ReproError, SimulationError, VerificationError
 from repro.obs.tracing import PhaseTimer
 from repro.store import ResultStore, StoreKey, open_store
+from repro.trace.plane import LocalChunkSource, TraceChunkSource
+from repro.trace.planecache import (
+    CachedPlane,
+    CachedPlaneDescriptor,
+    coerce_plane_cache,
+    ephemeral_plane,
+)
 from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace
 from repro.types import ReplacementPolicy
 
@@ -320,7 +323,7 @@ class SweepOutcome:
     executed_jobs: int = 0
     #: Exclusive per-phase wall clock from the orchestrator's
     #: :class:`~repro.obs.tracing.PhaseTimer` — decode / plane_ensure /
-    #: shm_publish / store_lookup / simulate / persist, plus merge once
+    #: store_lookup / simulate / persist, plus merge once
     #: :meth:`merged` has run.  Purely observational; empty for outcomes
     #: built outside :func:`run_sweep`.
     phases: Dict[str, float] = field(default_factory=dict)
@@ -383,10 +386,10 @@ def _coerce_trace(trace: Union[Trace, Sequence[int]]) -> Trace:
 class FusedSweepExecutor:
     """Run many sweep jobs in one pass over the trace, sharing the decode.
 
-    The per-job scheme pays one full trace traversal — including the
-    byte-address-to-block-address shift and, for DEW, one Python-level walk
-    per raw access — per :class:`SweepJob`.  This executor exploits that the
-    *trace-side* work is identical across jobs:
+    Running each job alone (``job.build().run(trace)``) pays one full trace
+    traversal — including the byte-address-to-block-address shift and, for
+    DEW, one Python-level walk per raw access — per :class:`SweepJob`.  This
+    executor exploits that the *trace-side* work is identical across jobs:
 
     * byte addresses are sliced into chunks once;
     * each distinct ``offset_bits`` shift is computed once per chunk and the
@@ -403,8 +406,7 @@ class FusedSweepExecutor:
     rows, identical work counters (the collapse bulk-accounting is exact in
     both MRA-ablation modes), identical store artifacts up to timing.  The
     reported per-job ``elapsed_seconds`` covers only that engine's simulation
-    time — the shared decode is excluded, mirroring how the per-job path's
-    timing is dominated by engine work.
+    time — the shared decode is excluded.
     """
 
     def __init__(
@@ -415,20 +417,17 @@ class FusedSweepExecutor:
         collapse: bool = True,
     ) -> None:
         if isinstance(trace, TraceChunkSource):
-            # Pre-decoded input (typically a shared-memory plane): the chunk
-            # geometry is baked into the published arrays, so the source's
+            # Pre-decoded input (typically a cached plane): the chunk
+            # geometry is baked into the stored arrays, so the source's
             # settings win over the constructor arguments.
             self.source = trace
-            self.trace = getattr(trace, "trace", None)
         else:
-            self.trace = _coerce_trace(trace)
             self.source = LocalChunkSource(
-                self.trace, chunk_size=chunk_size, collapse=collapse
+                _coerce_trace(trace), chunk_size=chunk_size, collapse=collapse
             )
         self.jobs = list(jobs)
         if not self.jobs:
             raise EngineError("FusedSweepExecutor needs at least one job")
-        self.chunk_size = self.source.chunk_size
         self.collapse = self.source.collapse
 
     def execute(self) -> List[SimulationResults]:
@@ -444,9 +443,9 @@ class FusedSweepExecutor:
             for offset_bits, members in groups.items():
                 # All shared decode work happens outside the per-engine
                 # timers, so reported timings are order-independent.  With a
-                # shared plane as source these calls are zero-copy views
-                # into the published segment; with a local source they run
-                # the same shift/collapse the pre-plane executor did inline.
+                # cached plane as source these calls are zero-copy views
+                # into the mapped artifact; with a local source they run
+                # the shift/collapse inline.
                 blocks = source.blocks(chunk_index, offset_bits)
                 runs: Optional[Tuple[List[int], np.ndarray]] = None
                 if self.collapse and any(
@@ -493,63 +492,30 @@ class FusedSweepExecutor:
 
 
 # Per-worker state installed by the pool initializer: workers inherit the
-# job list once instead of re-pickling it for every job, plus either the
-# trace itself (copy path) or a compact shared-plane layout (zero-copy path).
+# job list and the plane descriptor once instead of re-pickling them per batch.
 _WORKER_STATE: Dict[str, Any] = {}
 
 
 def _sweep_worker_init(
-    trace: Optional[Union[Trace, Sequence[int]]],
-    jobs: Sequence[SweepJob],
-    chunk_size: int,
-    plane_layout: Optional[PlaneLayout] = None,
-    file_plane: Optional[Any] = None,
+    jobs: Sequence[SweepJob], descriptor: CachedPlaneDescriptor
 ) -> None:
     _WORKER_STATE.clear()
-    _WORKER_STATE["trace"] = trace
     _WORKER_STATE["jobs"] = list(jobs)
-    _WORKER_STATE["chunk_size"] = chunk_size
-    _WORKER_STATE["plane_layout"] = plane_layout
-    _WORKER_STATE["file_plane"] = file_plane
-
-
-def _worker_chunk_source() -> Union[Trace, Sequence[int], TraceChunkSource]:
-    """The worker's fused-executor input: the shared plane when one was
-    published, else the cached-plane artifact when a file descriptor was
-    shipped (each worker maps the file read-only; the page cache holds one
-    copy machine-wide), else the inherited/pickled trace.  Either plane
-    attaches lazily on first use and the mapping is cached and reused
-    across every batch this worker runs.
-    """
-    layout = _WORKER_STATE.get("plane_layout")
-    descriptor = _WORKER_STATE.get("file_plane")
-    if layout is None and descriptor is None:
-        return _WORKER_STATE["trace"]
-    plane = _WORKER_STATE.get("plane")
-    if plane is None:
-        if layout is not None:
-            plane = AttachedPlane.attach(layout)
-        else:
-            from repro.trace.planecache import CachedPlane
-
-            plane = CachedPlane.attach(descriptor)
-        _WORKER_STATE["plane"] = plane
-    return plane
-
-
-def _sweep_worker_run(index: int) -> SimulationResults:
-    job = _WORKER_STATE["jobs"][index]
-    return _execute_job(job, _WORKER_STATE["trace"], _WORKER_STATE["chunk_size"])
+    _WORKER_STATE["descriptor"] = descriptor
 
 
 def _fused_worker_run(positions: Sequence[int]) -> Tuple[Tuple[int, ...], List[SimulationResults]]:
-    """Execute one fused batch; returns the positions with their results."""
+    """Execute one fused batch; returns the positions with their results.
+
+    The worker maps the plane artifact read-only on its first batch (the
+    page cache holds one copy machine-wide) and reuses the mapping for
+    every later batch.
+    """
+    plane = _WORKER_STATE.get("plane")
+    if plane is None:
+        plane = _WORKER_STATE["plane"] = CachedPlane.attach(_WORKER_STATE["descriptor"])
     jobs = _WORKER_STATE["jobs"]
-    executor = FusedSweepExecutor(
-        _worker_chunk_source(),
-        [jobs[position] for position in positions],
-        _WORKER_STATE["chunk_size"],
-    )
+    executor = FusedSweepExecutor(plane, [jobs[position] for position in positions])
     return tuple(positions), executor.execute()
 
 
@@ -583,14 +549,6 @@ def _partition_fused_batches(jobs: Sequence[SweepJob], workers: int) -> List[Lis
     return [batch for batch in batches if batch]
 
 
-def _execute_job(
-    job: SweepJob,
-    trace: Union[Trace, Sequence[int]],
-    chunk_size: int,
-) -> SimulationResults:
-    return job.build().run(trace, chunk_size=chunk_size)
-
-
 def _coerce_store(store: Optional[Union[str, "os.PathLike", ResultStore]]) -> Optional[ResultStore]:
     if store is None or isinstance(store, ResultStore):
         return store
@@ -605,27 +563,34 @@ def run_sweep(
     mp_context: Optional[str] = None,
     store: Optional[Union[str, "os.PathLike", ResultStore]] = None,
     force: bool = False,
-    fused: bool = True,
     on_result: Optional[Callable[[int, SweepJob, SimulationResults, bool], None]] = None,
-    shm: Optional[bool] = None,
     trace_cache: Optional[Union[str, "os.PathLike", Any]] = None,
 ) -> SweepOutcome:
     """Execute sweep jobs over ``trace``, optionally in parallel and incremental.
+
+    Every job runs through the :class:`FusedSweepExecutor`; the outcome
+    equals running each job alone (``job.build().run(trace)``) row for row
+    and counter for counter.
 
     Parameters
     ----------
     trace:
         The trace every job replays: a :class:`Trace`, an address sequence,
-        or a pre-decoded :class:`~repro.engine.shmplane.TraceChunkSource` —
-        in particular a :class:`~repro.trace.planecache.CachedPlane`, which
-        lets a warm caller (the service daemon) run a store-keyed fused
-        sweep without ever loading the trace file.  A plane-only input
-        requires ``fused=True`` (per-job engines walk the raw trace).
+        or a pre-decoded :class:`~repro.trace.plane.TraceChunkSource` — in
+        particular a :class:`~repro.trace.planecache.CachedPlane`, which
+        lets a warm caller (the service daemon) run a store-keyed sweep
+        without ever loading the trace file.
     jobs:
         The sweep decomposition, e.g. from :func:`build_grid_jobs`.
     workers:
         Process count; ``<= 1`` runs serially in-process.  Results are
-        merged in job order either way, so the outcome is identical.
+        merged in job order either way, so the outcome is identical.  A
+        pool's workers attach one decoded plane read-only: the
+        ``trace_cache`` plane (or the plane given as ``trace``) when there
+        is one, else a throwaway plane written for this sweep
+        (:func:`~repro.trace.planecache.ephemeral_plane`) and removed when
+        it ends — on normal exit, a worker crash, an aborting hook and
+        ``KeyboardInterrupt`` alike.
     chunk_size:
         Block-pipeline chunk length forwarded to every engine.
     mp_context:
@@ -634,19 +599,12 @@ def run_sweep(
         Optional persistent result store (a :class:`~repro.store.ResultStore`
         or a directory path).  Jobs whose results are already stored for this
         trace are loaded instead of executed; fresh results are persisted the
-        moment their execution unit finishes — per job in the per-job scheme,
-        per fused pass with ``fused=True`` (one decode group per pass serially,
+        moment their fused pass finishes (one decode group per pass serially,
         one batch per worker in parallel) — so an interrupted sweep resumes
         paying only for unfinished work.  The merged outcome is byte-identical
         to a cold run.
     force:
         With a store, re-execute (and overwrite) every job even when cached.
-    fused:
-        Execute missing jobs through the :class:`FusedSweepExecutor` (one
-        shared-decode pass per worker, run-length collapse for engines that
-        support it) instead of one full trace pass per job.  Output rows and
-        counters are byte-identical either way; ``fused=False`` keeps the
-        historical per-job scheme (the benchmark baseline).
     on_result:
         Optional job-granular progress hook, called as
         ``on_result(index, job, results, cached)`` in the orchestrating
@@ -657,33 +615,18 @@ def run_sweep(
         completion durably, and to *abort* a sweep between cells: a hook
         may raise (conventionally :class:`~repro.errors.SweepAborted`) and
         the exception propagates to the caller after worker pools and
-        shared-memory segments are cleaned up.  Results persisted before
-        the abort stay in the store, so a re-run resumes from them.
-    shm:
-        Shared-memory trace fan-out (see :mod:`repro.engine.shmplane`).
-        ``None`` (the default) publishes the decoded trace once into a
-        shared segment whenever fused work is fanned out to a pool —
-        workers then map it read-only instead of each receiving a trace
-        copy and re-deriving the shift/RLE arrays — and falls back to the
-        copy path if the platform cannot supply shared memory.  ``True``
-        forces the plane (an unavailable platform raises
-        :class:`~repro.errors.EngineError`) and also routes *serial* fused
-        execution through a published plane, which is how the identity of
-        the shared decode is tested.  ``False`` disables shared memory
-        entirely (the CLI's ``--no-shm`` escape hatch).  Results are
-        byte-identical in every mode; the segment is unlinked on normal
-        exit, worker crash, and KeyboardInterrupt alike.
+        planes are cleaned up.  Results persisted before the abort stay in
+        the store, so a re-run resumes from them.
     trace_cache:
         Optional decoded-plane cache (a
         :class:`~repro.trace.planecache.TracePlaneCache` or a directory
-        path).  With ``fused=True`` the sweep attaches the trace's decoded
-        plane from the cache — decoding and persisting it first if this is
-        the trace's first visit — and executes over the mmap-backed arrays;
-        pooled fan-out ships workers a compact file descriptor instead of
-        the pickled trace.  The decode plan is derived from the *full* job
-        list (not the store-miss subset), so store-resumed runs hit the
-        same artifact.  Cache failures of any kind degrade to the normal
-        decode path; results are byte-identical with the cache on or off.
+        path).  The sweep attaches the trace's decoded plane from the
+        cache — decoding and persisting it first if this is the trace's
+        first visit — and executes over the mmap-backed arrays.  The decode
+        plan is derived from the *full* job list (not the store-miss
+        subset), so store-resumed runs hit the same artifact.  Cache
+        failures of any kind degrade to the normal decode path; results are
+        byte-identical with the cache on or off.
     """
     job_list = list(jobs)
     if not job_list:
@@ -700,36 +643,13 @@ def run_sweep(
 
     plane_source: Optional[TraceChunkSource] = None
     if isinstance(trace, TraceChunkSource):
-        # Pre-decoded input.  When the source wraps an in-process trace
-        # (LocalChunkSource) the trace stays available for per-job/store
-        # paths; a bare plane (CachedPlane) has no trace and can only run
-        # fused.
+        # Pre-decoded input.  A LocalChunkSource keeps its in-process trace
+        # available for store keys; a bare plane (CachedPlane) has none.
         plane_source = trace
         trace = getattr(trace, "trace", None)
-        if trace is None and not fused:
-            raise EngineError(
-                "a pre-decoded trace plane requires fused execution "
-                "(per-job engines walk the raw trace)"
-            )
-    elif fused or result_store is not None:
+    else:
         with timer.phase("decode"):
             trace = _coerce_trace(trace)
-
-    if trace_cache is not None and plane_source is None and fused:
-        from repro.trace.planecache import coerce_plane_cache
-
-        with timer.phase("plane_ensure"):
-            try:
-                cache = coerce_plane_cache(trace_cache)
-                if cache is not None:
-                    # Keyed off the FULL job list so a store-resumed subset
-                    # maps to the same artifact the first run wrote.
-                    plane_source = cache.ensure(trace, job_list, chunk_size)
-            except (ReproError, OSError, ValueError):
-                # The cache is an optimisation, never a correctness
-                # dependency: any trouble (unwritable dir, bad manifest,
-                # racing gc) falls back to decoding in-process.
-                plane_source = None
 
     if result_store is not None:
         with timer.phase("store_lookup"):
@@ -762,128 +682,83 @@ def run_sweep(
             if on_result is not None:
                 on_result(index, job_list[index], fresh, False)
 
-    plane: Optional[SharedTracePlane] = None
-
-    def publish_plane(pending_jobs: Sequence[SweepJob]) -> Optional[SharedTracePlane]:
-        # Decode once, publish once.  shm=None degrades gracefully to the
-        # copy path when the platform cannot supply shared memory;
-        # shm=True insists.  With a cached plane attached, the publish
-        # copies the mmap-resident arrays instead of re-decoding.
-        with timer.phase("shm_publish"):
-            try:
-                return SharedTracePlane.publish(
-                    trace, pending_jobs, chunk_size, source=plane_source
-                )
-            except OSError as exc:
-                if shm:
-                    raise EngineError(
-                        f"shared-memory trace plane unavailable: {exc}"
-                    ) from exc
-                return None
-
+    # Planes this call opens itself: closed (and an ephemeral plane's
+    # directory removed) in the finally below, however execution ends.
+    owned = contextlib.ExitStack()
     try:
+        if trace_cache is not None and plane_source is None:
+            with timer.phase("plane_ensure"):
+                try:
+                    cache = coerce_plane_cache(trace_cache)
+                    if cache is not None:
+                        # Keyed off the FULL job list so a store-resumed subset
+                        # maps to the same artifact the first run wrote.
+                        plane_source = owned.enter_context(
+                            cache.ensure(trace, job_list, chunk_size)
+                        )
+                except (ReproError, OSError, ValueError):
+                    # The cache is an optimisation, never a correctness
+                    # dependency: any trouble (unwritable dir, bad manifest,
+                    # racing gc) falls back to decoding in-process.
+                    plane_source = None
         with timer.phase("simulate"):
             if not missing:
                 effective_workers = 1
             elif workers <= 1 or len(missing) == 1:
                 effective_workers = 1
-                if fused:
-                    if shm:
-                        # Serial execution gains nothing from shared memory, but
-                        # an explicit shm=True routes it through a published
-                        # plane anyway — the identity oracle for the shared
-                        # decode, and the same arrays workers would map.
-                        plane = publish_plane([job_list[index] for index in missing])
-                    # With a store, run one fused pass per decode group and persist
-                    # as each group finishes: cross-block-size fusion shares almost
-                    # nothing (the shift and collapse are per-offset anyway), so
-                    # this keeps a killed sweep's resume granularity close to
-                    # per-job instead of all-or-nothing.  Storeless runs use one
-                    # pass over everything.
-                    if result_store is not None:
-                        group_batches: Dict[Tuple[int, str], List[int]] = {}
-                        for index in missing:
-                            group_batches.setdefault(_job_decode_key(job_list[index]), []).append(index)
-                        batches = list(group_batches.values())
-                    else:
-                        batches = [missing]
-                    if plane is not None:
-                        serial_source: object = plane
-                    elif plane_source is not None:
-                        serial_source = plane_source
-                    else:
-                        serial_source = trace
-                    for batch in batches:
-                        executor = FusedSweepExecutor(
-                            serial_source,
-                            [job_list[index] for index in batch],
-                            chunk_size,
-                        )
-                        for offset, fresh in enumerate(executor.execute()):
-                            persist(batch[offset], fresh)
-                else:
+                # With a store, run one fused pass per decode group and persist
+                # as each group finishes: cross-block-size fusion shares almost
+                # nothing (the shift and collapse are per-offset anyway), so
+                # this keeps a killed sweep's resume granularity close to
+                # per-job instead of all-or-nothing.  Storeless runs use one
+                # pass over everything.
+                if result_store is not None:
+                    group_batches: Dict[Tuple[int, str], List[int]] = {}
                     for index in missing:
-                        persist(index, _execute_job(job_list[index], trace, chunk_size))
+                        group_batches.setdefault(_job_decode_key(job_list[index]), []).append(index)
+                    batches = list(group_batches.values())
+                else:
+                    batches = [missing]
+                serial_source = plane_source if plane_source is not None else trace
+                for batch in batches:
+                    executor = FusedSweepExecutor(
+                        serial_source,
+                        [job_list[index] for index in batch],
+                        chunk_size,
+                    )
+                    for offset, fresh in enumerate(executor.execute()):
+                        persist(batch[offset], fresh)
             else:
                 context = multiprocessing.get_context(mp_context)
                 effective_workers = min(workers, len(missing))
                 pending = [job_list[index] for index in missing]
-                file_descriptor = None
-                if fused and plane_source is not None and shm is not True:
-                    # A mmap-backed cached plane is already cross-process
-                    # shareable through the page cache: ship its few-hundred-byte
-                    # descriptor and let each worker attach the artifact file
-                    # directly, instead of copying the arrays into a fresh
-                    # shared-memory segment.
-                    from repro.trace.planecache import CachedPlane
-
-                    if isinstance(plane_source, CachedPlane):
-                        file_descriptor = plane_source.descriptor()
-                if fused and shm is not False and file_descriptor is None:
-                    plane = publish_plane(pending)
-                if plane is not None:
-                    # Workers receive the compact layout descriptor instead of
-                    # the trace: nothing trace-sized is pickled or copied, and
-                    # each worker attaches lazily on its first batch.
-                    initargs = (None, pending, chunk_size, plane.descriptor())
-                elif file_descriptor is not None:
-                    initargs = (None, pending, chunk_size, None, file_descriptor)
-                else:
+                if not isinstance(plane_source, CachedPlane):
                     if trace is None:
                         raise EngineError(
                             "pooled sweeps over a bare trace plane need an "
-                            "attachable descriptor (a CachedPlane) or the trace itself"
+                            "attachable plane (a CachedPlane) or the trace itself"
                         )
-                    initargs = (trace, pending, chunk_size)
+                    # Decode once into a throwaway plane; workers attach it
+                    # from a few-hundred-byte descriptor instead of each
+                    # receiving a trace copy and re-deriving the arrays.
+                    with timer.phase("plane_ensure"):
+                        plane_source = owned.enter_context(
+                            ephemeral_plane(trace, pending, chunk_size)
+                        )
                 with context.Pool(
                     effective_workers,
                     initializer=_sweep_worker_init,
-                    initargs=initargs,
+                    initargs=(pending, plane_source.descriptor()),
                 ) as pool:
-                    if fused:
-                        # One fused batch per worker, batched to maximise shared
-                        # decode; each batch's artifacts are persisted the moment
-                        # the batch finishes.
-                        batches = _partition_fused_batches(pending, effective_workers)
-                        for positions, batch in pool.imap_unordered(_fused_worker_run, batches):
-                            for position, fresh in zip(positions, batch):
-                                persist(missing[position], fresh)
-                    else:
-                        # imap yields in submission order as results complete, so
-                        # each fresh result is persisted without waiting for the
-                        # whole pool — a kill mid-sweep keeps everything already
-                        # finished.
-                        for offset, fresh in enumerate(
-                            pool.imap(_sweep_worker_run, range(len(pending)))
-                        ):
-                            persist(missing[offset], fresh)
+                    # One fused batch per worker, batched to maximise shared
+                    # decode; each batch's artifacts are persisted the moment
+                    # the batch finishes.
+                    batches = _partition_fused_batches(pending, effective_workers)
+                    for positions, batch in pool.imap_unordered(_fused_worker_run, batches):
+                        for position, fresh in zip(positions, batch):
+                            persist(missing[position], fresh)
     finally:
-        # The creating process owns the segment: unlink it no matter how
-        # execution ended (normal return, worker crash propagating out of
-        # the pool, KeyboardInterrupt, an aborting on_result hook), so no
-        # /dev/shm orphans survive the sweep.
-        if plane is not None:
-            plane.destroy()
+        owned.close()
     elapsed = time.perf_counter() - start
     final = [result for result in results if result is not None]
     assert len(final) == len(job_list)

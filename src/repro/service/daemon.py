@@ -120,11 +120,6 @@ class ServiceDaemon:
         in the scheduler loop; more uses a bounded thread pool.
     sweep_workers:
         Process fan-out *within* each job's sweep (``run_sweep(workers=)``).
-    shm:
-        Shared-memory trace fan-out forwarded to ``run_sweep(shm=)``:
-        ``None`` (default) publishes the decoded trace once per sweep and
-        lets the sweep's worker processes map it zero-copy, with automatic
-        fallback to the copy path; ``False`` disables the plane.
     poll_interval:
         Idle sleep between scheduler ticks, in seconds.
     on_cell:
@@ -162,7 +157,6 @@ class ServiceDaemon:
         store: Optional[Union[str, os.PathLike, ResultStore]] = None,
         workers: int = 1,
         sweep_workers: int = 1,
-        shm: Optional[bool] = None,
         poll_interval: float = 0.1,
         on_cell: Optional[Callable[[JobRecord, int, SweepJob, bool], None]] = None,
         event_retain_seconds: float = DEFAULT_EVENT_RETAIN_SECONDS,
@@ -207,7 +201,6 @@ class ServiceDaemon:
         self.inflight_ttl_seconds = float(inflight_ttl_seconds)
         self.workers = max(int(workers), 1)
         self.sweep_workers = max(int(sweep_workers), 1)
-        self.shm = shm
         self.poll_interval = max(float(poll_interval), 0.0)
         self.on_cell = on_cell
         self.event_retain_seconds = float(event_retain_seconds)
@@ -549,7 +542,7 @@ class ServiceDaemon:
                 self._maybe_heartbeat()
                 # Cancel requests are honored at cell granularity: the cell
                 # just persisted stays in the store, the rest of the sweep
-                # is abandoned, and run_sweep unwinds its pools/segments
+                # is abandoned, and run_sweep unwinds its pools/planes
                 # before the exception reaches the handler below.
                 if self.queue.cancel_requested(record.id):
                     raise SweepAborted(
@@ -562,9 +555,7 @@ class ServiceDaemon:
                 jobs,
                 workers=self.sweep_workers,
                 store=self.store,
-                fused=True,
                 on_result=progress,
-                shm=self.shm,
                 trace_cache=self.trace_cache,
             )
             payload = outcome.merged().to_json()

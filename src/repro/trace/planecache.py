@@ -3,12 +3,14 @@
 Every sweep surface — ``repro-dew sweep``, ``submit``, the service daemons —
 historically re-paid the same two costs per run over the same trace file: the
 text parse (``.din``/CSV/hex to packed arrays) and the decode (per-block-size
-shifts plus the chunk-faithful run-length collapse).  The shared-memory plane
-(:mod:`repro.engine.shmplane`) removed the *per-worker* copy of that cost
-within one sweep; this module removes it *across* runs and processes: the
-first sweep over a trace decodes once and persists the plane, every later
-sweep — in any process, on any daemon sharing the cache directory —
-``mmap``-attaches the artifact and never touches the text file again.
+shifts plus the chunk-faithful run-length collapse, see
+:mod:`repro.trace.plane`).  This module removes them *across* runs and
+processes: the first sweep over a trace decodes once and persists the plane,
+every later sweep — in any process, on any daemon sharing the cache
+directory — ``mmap``-attaches the artifact and never touches the text file
+again.  Within one pooled sweep the same artifact is the fan-out: workers
+receive a :class:`CachedPlaneDescriptor` and map the file, and a sweep
+without a cache writes its plane to a throwaway :func:`ephemeral_plane`.
 
 This is the result store's idea applied one level down.  The layout mirrors
 :mod:`repro.store.resultstore` deliberately::
@@ -49,28 +51,20 @@ in-place rewrite — the standard build-system staleness tradeoff.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import mmap
 import os
 import struct
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.engine.shmplane import (
-    ArraySpec,
-    DecodeRequirements,
-    PlaneLayout,
-    _PlaneView,
-    build_plane_arrays,
-    decode_requirements,
-    layout_plane_arrays,
-    plane_arrays_from_source,
-)
-from repro.errors import StoreError
+from repro.errors import EngineError, StoreError
 from repro.obs.metrics import component_snapshot, get_registry
 from repro.store.manage import (
     STATUS_CORRUPT,
@@ -86,7 +80,20 @@ from repro.store.manage import (
     collect_garbage,
 )
 from repro.store.resultstore import _atomic_replace
-from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace
+from repro.trace.plane import (
+    _KEY_ADDRESSES,
+    _KEY_TYPES,
+    ArraySpec,
+    DecodeRequirements,
+    PlaneLayout,
+    TraceChunkSource,
+    _blocks_key,
+    _runs_key,
+    build_plane_arrays,
+    decode_requirements,
+    layout_plane_arrays,
+)
+from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace, collapse_block_runs
 
 #: Version of the cache directory layout and plane artifact envelope.
 PLANE_SCHEMA_VERSION = 1
@@ -109,7 +116,7 @@ _PREAMBLE = struct.Struct("<12sI")
 _MAX_HEADER_BYTES = 1 << 24
 
 #: Payload bytes start on the first 64-byte boundary past the header, so
-#: every array offset inherits the shared plane's cache-line alignment.
+#: every array offset inherits the plane layout's cache-line alignment.
 _PAYLOAD_ALIGN = 64
 
 
@@ -218,40 +225,12 @@ class PlaneKey:
         )
 
 
-class _FileSegment:
-    """Read-only mmap of a plane artifact behind the shm segment interface.
-
-    Exposes exactly what :class:`~repro.engine.shmplane._PlaneView` needs —
-    ``buf`` (a buffer the numpy views are built over) and ``close()`` — so
-    the file-backed plane reuses the shared-memory view logic unchanged.
-    The mapping is ``ACCESS_READ``: the kernel faults pages in lazily as the
-    executor walks them, and any write through a view raises.
-    """
-
-    def __init__(self, path: Union[str, os.PathLike]) -> None:
-        with open(path, "rb") as handle:
-            self._mmap = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        self.buf: Optional[memoryview] = memoryview(self._mmap)
-
-    def close(self) -> None:
-        buf, self.buf = self.buf, None
-        try:
-            if buf is not None:
-                buf.release()
-            self._mmap.close()
-        except BufferError:  # pragma: no cover - a caller leaked a view
-            # The mapping stays until process exit; the unlinked artifact's
-            # disk space is reclaimed regardless.
-            pass
-
-
 @dataclass(frozen=True)
 class CachedPlaneDescriptor:
     """Everything a pool worker needs to re-attach a cached plane.
 
-    The file-backed analogue of shipping a :class:`PlaneLayout` for a shared
-    segment: a few hundred pickled bytes instead of the trace, and every
-    worker's private mapping shares one page-cache copy of the artifact.
+    A few hundred pickled bytes instead of the trace, and every worker's
+    private mapping shares one page-cache copy of the artifact.
     """
 
     path: str
@@ -259,26 +238,94 @@ class CachedPlaneDescriptor:
     key: PlaneKey
 
 
-class CachedPlane(_PlaneView):
+class CachedPlane(TraceChunkSource):
     """A read-only mmap attachment of one cached plane artifact.
 
-    A drop-in :class:`~repro.engine.shmplane.TraceChunkSource`: the fused
-    executor walks it exactly as it walks a shared segment or an in-process
-    trace.  It additionally carries the decoded trace's content fingerprint,
-    so ``run_sweep`` and the service daemon can key the result store — and
-    skip loading the trace entirely — from the plane alone.
+    A drop-in :class:`~repro.trace.plane.TraceChunkSource`: the fused
+    executor walks it exactly as it walks an in-process trace.  The mapping
+    is ``ACCESS_READ``: the kernel faults pages in lazily as the executor
+    walks them, and any write through a view raises.  The plane also
+    carries the decoded trace's content fingerprint, so ``run_sweep`` and
+    the service daemon can key the result store — and skip loading the
+    trace entirely — from the plane alone.
     """
 
     def __init__(
         self,
         layout: PlaneLayout,
-        segment: _FileSegment,
         path: Union[str, os.PathLike],
         key: PlaneKey,
     ) -> None:
-        super().__init__(layout, segment)
+        self.layout = layout
+        self.trace_name = layout.trace_name
+        self.length = layout.length
+        self.chunk_size = layout.chunk_size
+        self.collapse = layout.collapse
         self.path = Path(path)
         self.key = key
+        with open(path, "rb") as handle:
+            self._mmap = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        self._buf: Optional[memoryview] = memoryview(self._mmap)
+        self._views: Dict[str, np.ndarray] = {}
+
+    # -- array access ---------------------------------------------------------
+
+    def _array(self, key: str) -> Optional[np.ndarray]:
+        view = self._views.get(key)
+        if view is not None:
+            return view
+        spec = self.layout.spec(key)
+        if spec is None:
+            return None
+        if self._buf is None:
+            raise StoreError(f"cached trace plane {self.path} is closed")
+        view = np.ndarray(
+            spec.shape, dtype=np.dtype(spec.dtype),
+            buffer=self._buf, offset=spec.offset,
+        )
+        view.setflags(write=False)
+        self._views[key] = view
+        return view
+
+    def blocks(self, chunk_index: int, offset_bits: int) -> np.ndarray:
+        start, stop = self.chunk_bounds(chunk_index)
+        stored = self._array(_blocks_key(offset_bits))
+        if stored is not None:
+            return stored[start:stop]
+        # Safety net for offsets outside the plane's plan: derive from the
+        # always-stored address array (still zero-copy reads, one shift).
+        addresses = self._array(_KEY_ADDRESSES)
+        if addresses is None:  # pragma: no cover - addresses are always stored
+            raise EngineError("cached trace plane holds no address array")
+        return addresses[start:stop] >> int(offset_bits)
+
+    def runs(
+        self, chunk_index: int, offset_bits: int
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        if not self.collapse:
+            return None
+        splits = self._array(_runs_key(offset_bits, "splits"))
+        if splits is None:
+            # Offset outside the plane's run plan: collapse locally so the
+            # executor's behaviour (and results) never depend on the plan.
+            return collapse_block_runs(self.blocks(chunk_index, offset_bits))
+        values = self._array(_runs_key(offset_bits, "values"))
+        counts = self._array(_runs_key(offset_bits, "counts"))
+        assert values is not None and counts is not None
+        start, stop = int(splits[chunk_index]), int(splits[chunk_index + 1])
+        return values[start:stop], counts[start:stop]
+
+    def types(self, chunk_index: int) -> np.ndarray:
+        stored = self._array(_KEY_TYPES)
+        if stored is None:
+            raise EngineError(
+                "cached trace plane was decoded without access types; "
+                "re-decode with a job list that wants them"
+            )
+        start, stop = self.chunk_bounds(chunk_index)
+        return stored[start:stop]
+
+    # -- identity and lifecycle -----------------------------------------------
 
     def fingerprint(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> str:
         """The cached trace's content digest (no hashing — it rode the key)."""
@@ -294,15 +341,25 @@ class CachedPlane(_PlaneView):
     def attach(cls, descriptor: CachedPlaneDescriptor) -> "CachedPlane":
         """Worker-side re-attach from a descriptor (raises StoreError)."""
         try:
-            segment = _FileSegment(descriptor.path)
+            return cls(descriptor.layout, descriptor.path, descriptor.key)
         except (OSError, ValueError) as exc:
             raise StoreError(
                 f"could not attach cached trace plane {descriptor.path}: {exc}"
             ) from exc
-        return cls(descriptor.layout, segment, descriptor.path, descriptor.key)
 
     def close(self) -> None:
-        super().close()
+        """Drop the mapping (views first, so the mmap can actually close)."""
+        self._views.clear()
+        buf, self._buf = self._buf, None
+        if buf is None:
+            return
+        try:
+            buf.release()
+            self._mmap.close()
+        except BufferError:  # pragma: no cover - a caller leaked a view
+            # The mapping stays until process exit; an unlinked artifact's
+            # disk space is reclaimed regardless.
+            pass
 
     def __enter__(self) -> "CachedPlane":
         return self
@@ -392,7 +449,6 @@ def _layout_from_header(
                 )
             specs.append(spec)
         layout = PlaneLayout(
-            segment=str(path),
             trace_name=(
                 str(trace_name)
                 if trace_name is not None
@@ -402,7 +458,6 @@ def _layout_from_header(
             chunk_size=key.chunk_size,
             collapse=key.collapse,
             arrays=tuple(specs),
-            total_bytes=file_size,
         )
     except StoreError:
         raise
@@ -517,8 +572,7 @@ class TracePlaneCache:
         layout, _ = _layout_from_header(
             path, header, payload_base, file_size, trace_name
         )
-        segment = _FileSegment(path)
-        return CachedPlane(layout, segment, path, key)
+        return CachedPlane(layout, path, key)
 
     def get(
         self, key: PlaneKey, trace_name: Optional[str] = None
@@ -546,29 +600,15 @@ class TracePlaneCache:
         self._metric_hits.inc()
         return plane
 
-    def put(
-        self,
-        key: PlaneKey,
-        trace: Optional[Trace] = None,
-        source: Optional[_PlaneView] = None,
-    ) -> Path:
+    def put(self, key: PlaneKey, trace: Trace) -> Path:
         """Decode and persist the plane for ``key`` atomically; returns the path.
 
-        Exactly one of ``trace`` (decode from arrays) or ``source`` (copy
-        from an already-decoded plane view) must be given.  Concurrent
-        writers race benignly: both temp files hold byte-identical payloads
-        and ``os.replace`` installs whichever finishes last.
+        Concurrent writers race benignly: both temp files hold
+        byte-identical payloads and ``os.replace`` installs whichever
+        finishes last.
         """
-        if (trace is None) == (source is None):
-            raise StoreError("plane cache put needs a trace or a plane source")
-        if source is not None:
-            arrays = plane_arrays_from_source(
-                source, key.plan(), key.chunk_size, key.collapse
-            )
-            trace_name = source.trace_name
-        else:
-            arrays = build_plane_arrays(trace, key.plan(), key.chunk_size, key.collapse)
-            trace_name = trace.name
+        arrays = build_plane_arrays(trace, key.plan(), key.chunk_size, key.collapse)
+        trace_name = trace.name
         specs, payload_bytes = layout_plane_arrays(arrays)
 
         contiguous = [np.ascontiguousarray(array) for _, array in arrays]
@@ -751,6 +791,44 @@ def coerce_plane_cache(
     if value is True:
         raise StoreError("trace_cache=True needs a directory; pass a path")
     return open_plane_cache(value)
+
+
+#: Name prefix of the throwaway plane directories :func:`ephemeral_plane`
+#: creates, recognisable to leak checks.
+EPHEMERAL_PLANE_PREFIX = "repro-plane-"
+
+
+def _ephemeral_root() -> Optional[str]:
+    """``/dev/shm`` when it is a writable directory, else the default temp dir."""
+    if os.path.isdir("/dev/shm") and os.access("/dev/shm", os.W_OK | os.X_OK):
+        return "/dev/shm"
+    return None
+
+
+@contextlib.contextmanager
+def ephemeral_plane(
+    trace: Trace, jobs: Sequence, chunk_size: int = DEFAULT_CHUNK_SIZE
+) -> Iterator[CachedPlane]:
+    """Decode ``trace`` for ``jobs`` into a throwaway plane and attach it.
+
+    This is how a pooled sweep without a plane cache fans its trace out:
+    the plane is written once into a private ``repro-plane-*`` temporary
+    directory and workers attach it from its descriptor.  On exit — normal
+    return, an exception or ``KeyboardInterrupt`` alike — the mapping is
+    closed and the directory removed; workers still attached keep their
+    mappings until they exit.
+    """
+    with tempfile.TemporaryDirectory(
+        prefix=EPHEMERAL_PLANE_PREFIX, dir=_ephemeral_root()
+    ) as root:
+        cache = TracePlaneCache(root)
+        key = PlaneKey.make(trace.fingerprint(), jobs, chunk_size)
+        cache.put(key, trace)
+        plane = cache._attach(key, trace.name)
+        try:
+            yield plane
+        finally:
+            plane.close()
 
 
 # -- management (ls / verify / gc) ---------------------------------------------

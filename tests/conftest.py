@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from repro.trace.trace import Trace
+from repro.engine.sweep import SweepOutcome
+from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace
 from repro.workloads.mediabench import mediabench_trace
 from repro.workloads.synthetic import StridedLoop, WorkingSetGenerator
 
@@ -36,3 +37,24 @@ def mixed_trace() -> Trace:
 def cjpeg_trace() -> Trace:
     """A small Mediabench-style trace."""
     return mediabench_trace("cjpeg", 2000, seed=3)
+
+
+@pytest.fixture(scope="session")
+def per_job_sweep():
+    """The per-job oracle: every sweep job run alone through ``Engine.run``.
+
+    Returns ``run(trace, jobs, chunk_size=...)``, which builds the
+    :class:`SweepOutcome` a one-pass-per-job sweep would produce, so
+    ``as_rows()``, ``merged().to_json()`` and per-job ``counters`` of any
+    ``run_sweep`` mode can be compared against it.
+    """
+
+    def run(trace, jobs, chunk_size=DEFAULT_CHUNK_SIZE) -> SweepOutcome:
+        jobs = tuple(jobs)
+        return SweepOutcome(
+            jobs,
+            tuple(job.build().run(trace, chunk_size=chunk_size) for job in jobs),
+            trace_name=getattr(trace, "name", "trace"),
+        )
+
+    return run

@@ -2,8 +2,8 @@
 
 The contract under test is *byte-identity*: the fused executor (shared
 decode, run-length collapse, frame-native finalize) must produce exactly the
-rows, counters and store artifacts of the historical one-pass-per-job
-scheme — serial, parallel, cold, warm and partially warm alike.
+rows, counters and store artifacts of running every job alone through
+``Engine.run`` — serial, parallel, cold, warm and partially warm alike.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import main
 from repro.core.dew import DewSimulator
 from repro.engine import (
     FusedSweepExecutor,
@@ -185,23 +184,23 @@ class TestFinalizeFrame:
 
 
 class TestFusedSweepIdentity:
-    def test_fused_matches_per_job_serial(self, sweep_trace, grid_jobs):
-        baseline = run_sweep(sweep_trace, grid_jobs, fused=False)
-        fused = run_sweep(sweep_trace, grid_jobs, fused=True)
+    def test_fused_matches_per_job_serial(self, sweep_trace, grid_jobs, per_job_sweep):
+        baseline = per_job_sweep(sweep_trace, grid_jobs)
+        fused = run_sweep(sweep_trace, grid_jobs)
         assert fused.as_rows() == baseline.as_rows()
         assert fused.merged().to_json() == baseline.merged().to_json()
         for fused_result, base_result in zip(fused.results, baseline.results):
             assert fused_result.counters.as_dict() == base_result.counters.as_dict()
 
-    def test_fused_matches_per_job_parallel(self, sweep_trace, grid_jobs):
-        baseline = run_sweep(sweep_trace, grid_jobs, fused=False)
-        fused = run_sweep(sweep_trace, grid_jobs, fused=True, workers=2)
+    def test_fused_matches_per_job_parallel(self, sweep_trace, grid_jobs, per_job_sweep):
+        baseline = per_job_sweep(sweep_trace, grid_jobs)
+        fused = run_sweep(sweep_trace, grid_jobs, workers=2)
         assert fused.as_rows() == baseline.as_rows()
 
-    def test_fused_accepts_bare_address_sequences(self, small_random_addresses):
+    def test_fused_accepts_bare_address_sequences(self, small_random_addresses, per_job_sweep):
         jobs = build_grid_jobs([8], [2], (1, 2, 4))
-        baseline = run_sweep(list(small_random_addresses), jobs, fused=False)
-        fused = run_sweep(list(small_random_addresses), jobs, fused=True)
+        baseline = per_job_sweep(list(small_random_addresses), jobs)
+        fused = run_sweep(list(small_random_addresses), jobs)
         assert fused.as_rows() == baseline.as_rows()
 
     def test_executor_requires_jobs(self, sweep_trace):
@@ -230,11 +229,16 @@ class TestFusedSweepIdentity:
         assert partial.cached_jobs == len(grid_jobs) - 1
         assert partial.as_rows() == cold.as_rows()
 
-    def test_fused_store_matches_per_job_store(self, tmp_path, sweep_trace, grid_jobs):
-        """A store written per-job warms a fused sweep and vice versa."""
+    def test_fused_store_matches_per_job_store(
+        self, tmp_path, sweep_trace, grid_jobs, per_job_sweep
+    ):
+        """A store written from ``Engine.run`` results warms a fused sweep."""
         store = open_store(tmp_path / "store")
-        per_job = run_sweep(sweep_trace, grid_jobs, store=store, fused=False)
-        warm_fused = run_sweep(sweep_trace, grid_jobs, store=store, fused=True)
+        per_job = per_job_sweep(sweep_trace, grid_jobs)
+        fingerprint = sweep_trace.fingerprint()
+        for job, results in zip(grid_jobs, per_job.results):
+            store.put(job.store_key(fingerprint), results)
+        warm_fused = run_sweep(sweep_trace, grid_jobs, store=store)
         assert warm_fused.executed_jobs == 0
         assert warm_fused.as_rows() == per_job.as_rows()
 
@@ -265,9 +269,9 @@ class TestMixedEngineSweeps:
         assert run_flags == {True, False}
         assert type_flags == {True, False}
 
-    def test_fused_matches_per_job(self, sweep_trace, mixed_jobs):
-        baseline = run_sweep(sweep_trace, mixed_jobs, fused=False)
-        fused = run_sweep(sweep_trace, mixed_jobs, fused=True)
+    def test_fused_matches_per_job(self, sweep_trace, mixed_jobs, per_job_sweep):
+        baseline = per_job_sweep(sweep_trace, mixed_jobs)
+        fused = run_sweep(sweep_trace, mixed_jobs)
         assert fused.as_rows() == baseline.as_rows()
         assert fused.merged().to_json() == baseline.merged().to_json()
 
@@ -306,24 +310,6 @@ class TestMixedEngineSweeps:
         augmented = [row for row in rows if "mechanism" in row]
         assert len(bare) + len(augmented) == len(rows)
         assert augmented  # the mechanism cells actually landed
-
-
-class TestSweepCliFused:
-    def test_cli_no_fused_is_byte_identical(self, tmp_path, capsys):
-        trace_path = tmp_path / "t.csv"
-        trace = WorkingSetGenerator().generate(1500, seed=4)
-        from repro.trace.textio import write_text_trace
-
-        write_text_trace(trace, trace_path, fmt="csv")
-        args = [
-            "sweep", str(trace_path), "--block-sizes", "8,16",
-            "--associativities", "1,2", "--max-sets", "32", "--policies", "fifo,lru",
-        ]
-        assert main(args) == 0
-        fused_out = capsys.readouterr().out
-        assert main(args + ["--no-fused"]) == 0
-        per_job_out = capsys.readouterr().out
-        assert fused_out == per_job_out
 
 
 class TestLruRunLengthOracle:

@@ -408,7 +408,6 @@ class TestSweepPhasesAndIdentity:
         outcome = run_sweep(
             trace,
             jobs,
-            fused=True,
             store=open_store(tmp_path / "store"),
             trace_cache=str(tmp_path / "planes"),
         )
@@ -432,10 +431,10 @@ class TestSweepPhasesAndIdentity:
             set_sizes=[1, 2, 4, 8, 16, 32],
             policies=["fifo", "lru"],
         )
-        enabled = run_sweep(trace, jobs, fused=True).merged().to_json()
+        enabled = run_sweep(trace, jobs).merged().to_json()
         set_metrics_enabled(False)
         try:
-            disabled = run_sweep(trace, jobs, fused=True).merged().to_json()
+            disabled = run_sweep(trace, jobs).merged().to_json()
         finally:
             set_metrics_enabled(True)
         assert enabled == disabled

@@ -2,7 +2,7 @@
 
 The contract: a cached, mmap-attached plane is *byte-identical* to a cold
 text decode — the same columnar arrays, the same sweep results across the
-serial, pooled, shared-memory, per-job and store-resume execution paths —
+serial, pooled, ephemeral-plane, per-job and store-resume execution paths —
 and every failure mode of the cache (corruption, concurrent writers,
 schema drift, gc races) degrades to a re-decode, never to wrong results.
 """
@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import build_grid_jobs, run_sweep
-from repro.engine.shmplane import LocalChunkSource, SharedTracePlane
 from repro.errors import StoreError
 from repro.service.api import ServiceClient, SweepRequest
 from repro.service.daemon import ServiceDaemon
@@ -28,6 +27,7 @@ from repro.store import open_store
 from repro.trace import files as trace_files
 from repro.trace.din import write_din
 from repro.trace.files import load_trace_file, trace_name_for_path
+from repro.trace.plane import LocalChunkSource
 from repro.trace.planecache import (
     PLANE_SCHEMA_VERSION,
     CachedPlane,
@@ -358,20 +358,22 @@ class TestCoercion:
 
 
 class TestSweepIdentity:
-    def test_all_paths_byte_identical(self, tmp_path, cache_trace, grid_jobs):
+    def test_all_paths_byte_identical(
+        self, tmp_path, cache_trace, grid_jobs, per_job_sweep
+    ):
         cachedir = tmp_path / "pc"
         base = run_sweep(cache_trace, grid_jobs)
         variants = {
             "serial-cache": dict(trace_cache=cachedir),
-            "pooled": dict(workers=2),
+            "pooled-ephemeral": dict(workers=2),
             "pooled-cache": dict(workers=2, trace_cache=cachedir),
-            "shm-cache": dict(workers=2, shm=True, trace_cache=cachedir),
-            "perjob-cache": dict(fused=False, trace_cache=cachedir),
         }
         for label, kwargs in variants.items():
             outcome = run_sweep(cache_trace, grid_jobs, **kwargs)
             assert _result_rows(outcome) == _result_rows(base), label
             assert outcome.trace_name == base.trace_name
+        per_job = per_job_sweep(cache_trace, grid_jobs)
+        assert _result_rows(per_job) == _result_rows(base)
 
     def test_plane_input_serial_and_pooled(self, tmp_path, cache_trace, grid_jobs):
         cache = open_plane_cache(tmp_path / "pc")
@@ -439,21 +441,6 @@ class TestSweepIdentity:
         )
         assert _result_rows(warm_writer) == _result_rows(cold)
         assert _result_rows(warm_reader) == _result_rows(cold)
-
-
-class TestPublishFromSource:
-    def test_shm_publish_copies_from_cached_plane(
-        self, cache, cache_trace, grid_jobs
-    ):
-        with cache.ensure(cache_trace, grid_jobs) as source:
-            plane = SharedTracePlane.publish(
-                None, grid_jobs, source=source
-            )
-            try:
-                assert np.array_equal(plane.blocks(0, 3), source.blocks(0, 3))
-                assert plane.trace_name == source.trace_name
-            finally:
-                plane.destroy()
 
 
 class TestServiceIntegration:

@@ -1,16 +1,19 @@
-"""Tests for the shared-memory trace plane and its sweep integration.
+"""Tests for the pooled fan-out's ephemeral trace plane and its sweep integration.
 
-Three properties carry the whole feature:
+A pooled sweep without a plane cache decodes its trace once into a
+throwaway plane artifact — under ``/dev/shm`` when that is writable — and
+every worker maps it read-only from a compact descriptor.  Three
+properties carry the feature:
 
 1. **Byte-identity** — results (rows, merged JSON, counters, store
-   artifacts) are identical across shm on/off, serial vs pooled, fused vs
-   per-job, and store resume.  The hypothesis oracle and the deterministic
-   pooled tests pin this.
+   artifacts) are identical across serial, plane-backed and pooled runs,
+   store resume, and the per-job ``Engine.run`` oracle.  The hypothesis
+   oracle and the deterministic pooled tests pin this.
 2. **Zero-copy layout** — the descriptor passed to workers is a few
    hundred bytes regardless of trace size, and attached views read the
-   very arrays the parent published.
-3. **No orphaned segments** — ``/dev/shm`` is clean after normal exit,
-   after a worker crash, and after a (simulated and real) SIGINT.
+   very arrays the parent decoded.
+3. **No orphaned planes** — no ``repro-plane-*`` directory survives a
+   normal exit, a worker crash, an aborting hook or a real SIGINT.
 """
 
 import os
@@ -18,6 +21,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 
@@ -26,13 +30,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.shmplane import (
-    AttachedPlane,
-    LocalChunkSource,
-    SharedTracePlane,
-    decode_requirements,
-    leaked_segments,
-)
 from repro.engine.sweep import (
     FusedSweepExecutor,
     SweepJob,
@@ -40,8 +37,10 @@ from repro.engine.sweep import (
     build_mechanism_grid_jobs,
     run_sweep,
 )
-from repro.errors import EngineError, ReproError
+from repro.errors import EngineError, ReproError, StoreError
 from repro.store import open_store
+from repro.trace.plane import LocalChunkSource, decode_requirements
+from repro.trace.planecache import EPHEMERAL_PLANE_PREFIX, CachedPlane, ephemeral_plane
 from repro.trace.trace import Trace, collapse_block_runs
 from repro.workloads.synthetic import SequentialStream, WorkingSetGenerator
 
@@ -58,12 +57,25 @@ def _jobs():
     )
 
 
+def _leaked_planes():
+    """Ephemeral plane directories in ``/dev/shm`` and the temp dir."""
+    found = []
+    for root in sorted({"/dev/shm", tempfile.gettempdir()}):
+        if os.path.isdir(root):
+            found += [
+                os.path.join(root, entry)
+                for entry in os.listdir(root)
+                if entry.startswith(EPHEMERAL_PLANE_PREFIX)
+            ]
+    return sorted(found)
+
+
 @pytest.fixture(autouse=True)
-def _no_segment_leaks():
-    """Every test in this module must leave /dev/shm clean."""
-    before = leaked_segments()
-    yield
-    assert leaked_segments() == before
+def leak_baseline():
+    """Every test in this module must leave no ephemeral plane behind."""
+    before = _leaked_planes()
+    yield before
+    assert _leaked_planes() == before
 
 
 class TestPlanePublication:
@@ -71,7 +83,7 @@ class TestPlanePublication:
         trace = _trace(5_000)
         jobs = _jobs()
         chunk = 512
-        with SharedTracePlane.publish(trace, jobs, chunk_size=chunk) as plane:
+        with ephemeral_plane(trace, jobs, chunk_size=chunk) as plane:
             local = LocalChunkSource(trace, chunk_size=chunk)
             assert plane.num_chunks == local.num_chunks
             for index in range(plane.num_chunks):
@@ -90,8 +102,8 @@ class TestPlanePublication:
 
     def test_unpublished_offset_falls_back_to_address_shift(self):
         trace = _trace(2_000)
-        with SharedTracePlane.publish(trace, _jobs(), chunk_size=256) as plane:
-            # offset_bits=5 (block size 32) is outside the published plan.
+        with ephemeral_plane(trace, _jobs(), chunk_size=256) as plane:
+            # offset_bits=5 (block size 32) is outside the decoded plan.
             expected = trace.addresses[:256] >> 5
             assert np.array_equal(plane.blocks(0, 5), expected)
             values, counts = plane.runs(0, 5)
@@ -100,15 +112,12 @@ class TestPlanePublication:
 
     def test_descriptor_is_compact_and_picklable(self):
         trace = _trace(50_000)
-        with SharedTracePlane.publish(trace, _jobs()) as plane:
+        with ephemeral_plane(trace, _jobs()) as plane:
             blob = pickle.dumps(plane.descriptor())
             # The whole point: per-worker transfer is O(#arrays), not O(trace).
             assert len(blob) < 4096
-            attached = AttachedPlane.attach(pickle.loads(blob))
-            try:
+            with CachedPlane.attach(pickle.loads(blob)) as attached:
                 assert np.array_equal(attached.blocks(0, 4), plane.blocks(0, 4))
-            finally:
-                attached.close()
 
     def test_decode_requirements_reads_classes_not_instances(self):
         jobs = _jobs()
@@ -118,12 +127,12 @@ class TestPlanePublication:
         assert plan.needs_types  # 'random' policy runs through single
 
     def test_attach_after_destroy_raises_engine_error(self):
-        trace = _trace(1_000)
-        plane = SharedTracePlane.publish(trace, _jobs())
-        layout = plane.descriptor()
-        plane.destroy()
-        with pytest.raises(EngineError, match="attach"):
-            AttachedPlane.attach(layout)
+        # Once the ephemeral plane's directory is gone, a late worker
+        # attach fails loudly (a StoreError) instead of reading garbage.
+        with ephemeral_plane(_trace(1_000), _jobs()) as plane:
+            descriptor = plane.descriptor()
+        with pytest.raises(StoreError, match="attach"):
+            CachedPlane.attach(descriptor)
 
 
 class TestByteIdentity:
@@ -132,14 +141,17 @@ class TestByteIdentity:
         addresses=st.lists(st.integers(0, 1023), min_size=1, max_size=200),
         chunk_size=st.integers(1, 64),
     )
-    def test_shm_oracle_serial_vs_plane_vs_per_job(self, addresses, chunk_size):
-        """For arbitrary tiny traces: no-shm fused, plane-backed fused and
-        the per-job baseline agree exactly."""
+    def test_shm_oracle_serial_vs_plane_vs_per_job(
+        self, per_job_sweep, addresses, chunk_size
+    ):
+        """For arbitrary tiny traces: in-process fused, plane-backed fused
+        and the per-job ``Engine.run`` oracle agree exactly."""
         trace = Trace(np.array(addresses, dtype=np.int64))
         jobs = build_grid_jobs([16], [2], [1, 2, 4], policies=["fifo", "lru"])
         plain = run_sweep(trace, jobs, chunk_size=chunk_size)
-        plane = run_sweep(trace, jobs, chunk_size=chunk_size, shm=True)
-        per_job = run_sweep(trace, jobs, chunk_size=chunk_size, fused=False)
+        with ephemeral_plane(trace, jobs, chunk_size) as source:
+            plane = run_sweep(source, jobs)
+        per_job = per_job_sweep(trace, jobs, chunk_size=chunk_size)
         assert plain.as_rows() == plane.as_rows() == per_job.as_rows()
         assert (
             plain.merged().to_json()
@@ -147,14 +159,13 @@ class TestByteIdentity:
             == per_job.merged().to_json()
         )
 
-    def test_pooled_shm_modes_match_serial(self):
+    def test_pooled_shm_modes_match_serial(self, tmp_path):
         trace = _trace()
         jobs = _jobs()
         base = run_sweep(trace, jobs)
         for kwargs in (
-            dict(workers=2),            # plane by default
-            dict(workers=2, shm=True),  # plane, forced
-            dict(workers=2, shm=False), # copy path
+            dict(workers=2),                                # ephemeral plane
+            dict(workers=2, trace_cache=tmp_path / "pc"),   # cached plane
         ):
             outcome = run_sweep(trace, jobs, **kwargs)
             assert outcome.as_rows() == base.as_rows(), kwargs
@@ -164,16 +175,17 @@ class TestByteIdentity:
         trace = _trace()
         jobs = _jobs()
         cold_store = open_store(tmp_path / "cold")
-        cold = run_sweep(trace, jobs, store=cold_store, workers=2, shm=True)
+        cold = run_sweep(trace, jobs, store=cold_store, workers=2)
         assert cold.executed_jobs == len(jobs)
-        # Evict one artifact and resume with the plane: only that cell re-runs.
+        # Evict two artifacts and resume pooled: only those cells re-run.
         fingerprint = trace.fingerprint()
-        cold_store.delete(jobs[0].store_key(fingerprint))
-        warm = run_sweep(trace, jobs, store=cold_store, workers=2, shm=True)
-        assert warm.cached_jobs == len(jobs) - 1
-        assert warm.executed_jobs == 1
+        for job in jobs[:2]:
+            cold_store.delete(job.store_key(fingerprint))
+        warm = run_sweep(trace, jobs, store=cold_store, workers=2)
+        assert warm.cached_jobs == len(jobs) - 2
+        assert warm.executed_jobs == 2
         assert warm.as_rows() == cold.as_rows()
-        # And a storeless no-shm run agrees byte for byte.
+        # And a storeless serial run agrees byte for byte.
         assert run_sweep(trace, jobs).as_rows() == warm.as_rows()
 
 
@@ -193,14 +205,16 @@ class TestMixedEnginePlane:
         # Only stream-buffer wants types; its presence flips the whole plan.
         assert plan.needs_types
 
-    def test_plane_and_pool_match_serial(self):
+    def test_plane_and_pool_match_serial(self, tmp_path):
         trace = _trace(8_000)
         jobs = _mixed_jobs()
         base = run_sweep(trace, jobs)
+        with ephemeral_plane(trace, jobs) as plane:
+            outcome = run_sweep(plane, jobs)
+        assert outcome.as_rows() == base.as_rows()
         for kwargs in (
-            dict(shm=True),
-            dict(workers=2, shm=True),
-            dict(workers=2, shm=False),
+            dict(workers=2),
+            dict(workers=2, trace_cache=tmp_path / "pc"),
         ):
             outcome = run_sweep(trace, jobs, **kwargs)
             assert outcome.as_rows() == base.as_rows(), kwargs
@@ -210,12 +224,13 @@ class TestMixedEnginePlane:
         trace = _trace(8_000)
         jobs = _mixed_jobs()
         store = open_store(tmp_path / "mixed")
-        cold = run_sweep(trace, jobs, store=store, workers=2, shm=True)
+        cold = run_sweep(trace, jobs, store=store, workers=2)
         assert cold.executed_jobs == len(jobs)
-        store.delete(jobs[-1].store_key(trace.fingerprint()))
-        warm = run_sweep(trace, jobs, store=store, workers=2, shm=True)
-        assert warm.executed_jobs == 1
-        assert warm.cached_jobs == len(jobs) - 1
+        for job in jobs[-2:]:
+            store.delete(job.store_key(trace.fingerprint()))
+        warm = run_sweep(trace, jobs, store=store, workers=2)
+        assert warm.executed_jobs == 2
+        assert warm.cached_jobs == len(jobs) - 2
         assert warm.as_rows() == cold.as_rows()
 
 
@@ -235,7 +250,7 @@ class TestAccessTypeRequirements:
     def test_plane_published_without_types_fails_loudly(self):
         """A plane planned for typeless jobs must reject a types-hungry rider.
 
-        Publishing against dew-only jobs omits the access-type array; wiring
+        Decoding against dew-only jobs omits the access-type array; wiring
         a stream-buffer job onto that plane afterwards must raise before any
         cell simulates, not silently default the types.
         """
@@ -243,39 +258,39 @@ class TestAccessTypeRequirements:
         dew_jobs = build_grid_jobs([16], [2], [1, 2], policies=["fifo"])
         sb = build_mechanism_grid_jobs(["stream-buffer"], [16], [2], [2], entry_counts=(2,))
         assert decode_requirements(dew_jobs).needs_types is False
-        with SharedTracePlane.publish(trace, dew_jobs) as plane:
+        with ephemeral_plane(trace, dew_jobs) as plane:
             with pytest.raises(EngineError, match="without access types"):
                 FusedSweepExecutor(plane, dew_jobs + sb).execute()
 
 
 class TestSegmentLifecycle:
-    def test_normal_exit_unlinks(self):
-        run_sweep(_trace(), _jobs(), workers=2, shm=True)
-        assert leaked_segments() == []
+    def test_normal_exit_unlinks(self, leak_baseline):
+        run_sweep(_trace(), _jobs(), workers=2)
+        assert _leaked_planes() == leak_baseline
 
-    def test_worker_crash_unlinks(self):
+    def test_worker_crash_unlinks(self, leak_baseline):
         # An engine whose construction fails inside the worker: the pool
-        # surfaces the exception, run_sweep's finally destroys the plane.
+        # surfaces the exception, run_sweep's finally removes the plane.
         bad = SweepJob.make("dew", block_size=16, associativity=0, set_sizes=(1,))
         jobs = _jobs() + [bad]
         with pytest.raises(ReproError):
-            run_sweep(_trace(), jobs, workers=2, shm=True)
-        assert leaked_segments() == []
+            run_sweep(_trace(), jobs, workers=2)
+        assert _leaked_planes() == leak_baseline
 
-    def test_aborting_hook_unlinks_serial_and_pooled(self):
+    def test_aborting_hook_unlinks_serial_and_pooled(self, leak_baseline):
         trace = _trace()
         jobs = _jobs()
 
         def abort(index, job, results, cached):
             raise KeyboardInterrupt
 
-        for kwargs in (dict(shm=True), dict(workers=2, shm=True)):
+        for kwargs in (dict(), dict(workers=2)):
             with pytest.raises(KeyboardInterrupt):
                 run_sweep(trace, jobs, on_result=abort, **kwargs)
-            assert leaked_segments() == []
+            assert _leaked_planes() == leak_baseline
 
-    def test_sigint_mid_pooled_sweep_unlinks(self, tmp_path):
-        """A real SIGINT delivered to a sweeping process leaves no segment."""
+    def test_sigint_mid_pooled_sweep_unlinks(self, tmp_path, leak_baseline):
+        """A real SIGINT delivered to a sweeping process leaves no plane."""
         marker = tmp_path / "first-cell"
         script = textwrap.dedent(
             f"""
@@ -293,7 +308,7 @@ class TestSegmentLifecycle:
                 Path({str(marker)!r}).write_text("up")
                 time.sleep(30)  # hold the sweep open for the SIGINT
 
-            run_sweep(trace, jobs, workers=2, shm=True, on_result=slow)
+            run_sweep(trace, jobs, workers=2, on_result=slow)
             """
         )
         env = dict(os.environ)
@@ -308,6 +323,8 @@ class TestSegmentLifecycle:
                 assert child.poll() is None, "sweep process died before first cell"
                 assert time.time() < deadline, "sweep never produced a cell"
                 time.sleep(0.05)
+            # The plane is live while the sweep is held open.
+            assert len(_leaked_planes()) == len(leak_baseline) + 1
             child.send_signal(signal.SIGINT)
             child.wait(timeout=60)
         finally:
@@ -315,13 +332,13 @@ class TestSegmentLifecycle:
                 child.kill()
                 child.wait()
         assert child.returncode != 0  # died to the interrupt, not success
-        assert leaked_segments() == []
+        assert _leaked_planes() == leak_baseline
 
     def test_executor_accepts_plane_and_matches_trace_input(self):
         trace = _trace(4_000)
         jobs = _jobs()[:4]
         direct = [r.to_json() for r in FusedSweepExecutor(trace, jobs).execute()]
-        with SharedTracePlane.publish(trace, jobs) as plane:
+        with ephemeral_plane(trace, jobs) as plane:
             via_plane = [r.to_json() for r in FusedSweepExecutor(plane, jobs).execute()]
         assert direct == via_plane
 
@@ -332,5 +349,6 @@ class TestSegmentLifecycle:
         )
         jobs = build_grid_jobs([8, 32], [2], [1, 2, 4, 8])
         base = run_sweep(trace, jobs)
-        assert run_sweep(trace, jobs, shm=True).as_rows() == base.as_rows()
+        with ephemeral_plane(trace, jobs) as plane:
+            assert run_sweep(plane, jobs).as_rows() == base.as_rows()
         assert run_sweep(trace, jobs, workers=2).as_rows() == base.as_rows()
