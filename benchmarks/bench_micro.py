@@ -189,14 +189,14 @@ def test_micro_victim_cache_block_runs_speedup(pr8_report):
         start = time.perf_counter()
         for blocks in trace.iter_block_chunks(engine.offset_bits):
             engine.run_blocks(blocks)
-        return time.perf_counter() - start, engine.finalize_frame("bench")
+        return time.perf_counter() - start, engine.finalize("bench").frame()
 
     def time_collapsed():
         engine = get_engine("victim-cache", **options)
         start = time.perf_counter()
         for values, counts in trace.iter_block_runs(engine.offset_bits):
             engine.run_block_runs(values, counts)
-        return time.perf_counter() - start, engine.finalize_frame("bench")
+        return time.perf_counter() - start, engine.finalize("bench").frame()
 
     raw_seconds, raw_frame = min(
         (time_raw() for _ in range(3)), key=lambda pair: pair[0]

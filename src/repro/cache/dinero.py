@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Sequence, Union
 
 from repro.cache.stats import CacheStats
 from repro.core.config import CacheConfig, ConfigSpace
@@ -85,7 +85,6 @@ class DineroStyleRunner:
     def run(
         self,
         trace: Trace,
-        time_budget_seconds: Optional[float] = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> DineroRunResult:
         """Replay ``trace`` once per configuration.
@@ -94,11 +93,6 @@ class DineroStyleRunner:
         ----------
         trace:
             The memory trace to simulate.
-        time_budget_seconds:
-            Optional soft limit; if exceeded, remaining configurations are
-            still simulated (exactness first) but a warning field could be
-            added by callers comparing timings.  The limit exists so long
-            benchmark sweeps can bound the baseline cost explicitly.
         chunk_size:
             Block-pipeline chunk length forwarded to every engine pass.
         """
@@ -111,9 +105,5 @@ class DineroStyleRunner:
             engine.run(trace, chunk_size=chunk_size)
             result.stats[config] = engine.stats
             result.passes += 1
-            if time_budget_seconds is not None and time.perf_counter() - start > time_budget_seconds:
-                # Exactness is never sacrificed: the budget only documents
-                # that the baseline is expensive, it does not truncate it.
-                continue
         result.elapsed_seconds = time.perf_counter() - start
         return result

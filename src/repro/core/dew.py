@@ -492,15 +492,14 @@ class DewSimulator:
 
     # -- results ---------------------------------------------------------------
 
-    def results_frame(self, trace_name: str = "trace") -> ResultsFrame:
-        """Per-configuration results accumulated so far, in columnar form.
+    def results(self, trace_name: str = "trace") -> SimulationResults:
+        """Per-configuration results accumulated so far.
 
         Emits the :class:`~repro.core.results.ResultsFrame` columns directly
         from the per-level miss arrays — one family row per level plus the
         free direct-mapped row when ``A > 1`` — without materialising a
-        single :class:`~repro.core.results.ConfigResult`.  This is the
-        engine pipeline's native finalize path; :meth:`results` is a thin
-        view over it.
+        single :class:`~repro.core.results.ConfigResult`, and carries the
+        work counters along.
         """
         tree = self.tree
         num_levels = tree.num_levels
@@ -520,7 +519,7 @@ class DewSimulator:
             assocs = np.ones(num_levels, dtype=np.int64)
             miss_col = misses
         rows = num_sets.size
-        return ResultsFrame(
+        frame = ResultsFrame(
             num_sets,
             assocs,
             np.full(rows, tree.block_size, dtype=np.int64),
@@ -532,12 +531,7 @@ class DewSimulator:
             simulator_name="dew",
             trace_name=trace_name,
         )
-
-    def results(self, trace_name: str = "trace") -> SimulationResults:
-        """Per-configuration results accumulated so far (frame-backed view)."""
-        return SimulationResults.from_frame(
-            self.results_frame(trace_name=trace_name), counters=self.counters
-        )
+        return SimulationResults.from_frame(frame, counters=self.counters)
 
     def reset(self) -> None:
         """Clear all simulation state, counters and results."""

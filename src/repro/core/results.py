@@ -1,18 +1,17 @@
 """Result containers for multi-configuration simulation runs.
 
-The data spine of the results layer is the columnar :class:`ResultsFrame`:
+The one result representation is the columnar :class:`ResultsFrame`:
 parallel numpy arrays keyed by the configuration tuple ``(num_sets,
 associativity, block_size, policy)`` with accesses/misses/compulsory columns
-(hits are derived), held in canonical sorted order.  Frames are what the
-persistent result store serialises, what sweep merging operates on, and what
-keeps a million-cell result set cheap to hold and compare.
+(hits are derived), held in canonical sorted order.  Every engine finalizes
+straight to a frame; frames are what the persistent result store serialises,
+what sweep merging operates on, and what keeps a million-cell result set
+cheap to hold and compare.
 
-:class:`ConfigResult` and :class:`SimulationResults` remain the object-level
-API every engine adapter, cross-checker and bench table already speaks — but
-:class:`SimulationResults` is now a thin view: it can be backed directly by a
-:class:`ResultsFrame` (no per-row Python objects until a caller asks for
-them) and can materialise its columnar form via :meth:`SimulationResults.frame`.
-The same container is produced by the Dinero-style baseline (via
+:class:`SimulationResults` is a view over exactly one frame plus the run's
+DEW work counters, and :class:`ConfigResult` is one row of it, built on
+demand for the object-level API (iteration, lookups, cross-checkers, bench
+tables).  The Dinero-style baseline produces the same container (via
 :func:`SimulationResults.from_stats`) so the two can be compared directly.
 """
 
@@ -891,11 +890,13 @@ class ResultsFrame:
 class SimulationResults:
     """Hit/miss results for a family of configurations from one simulation run.
 
-    A thin view over columnar data: when built :meth:`from_frame` the rows
-    stay in the backing :class:`ResultsFrame` and :class:`ConfigResult`
-    objects are materialised only on demand; when built incrementally via
-    :meth:`add` the columnar form is materialised on demand via
-    :meth:`frame`.  Either way the object-level API is unchanged.
+    A view over exactly one :class:`ResultsFrame` plus the run's
+    :class:`~repro.core.counters.DewCounters`.  Engines finalize straight to
+    columns and wrap them with :meth:`from_frame`; the iterable constructor
+    converts object-level :class:`ConfigResult` rows once.  Per-row objects
+    are materialised only when a caller iterates or looks a row up.  The
+    simulator/trace names are read-only frame metadata; setting
+    ``elapsed_seconds`` rebinds the frame with the new timing.
 
     Rows are keyed by ``(config, mechanism, mechanism_entries)`` — a bare
     cache and its mechanism-augmented variants are distinct rows of the same
@@ -903,34 +904,21 @@ class SimulationResults:
     row; pass ``mechanism``/``mechanism_entries`` to address the others.
     """
 
-    #: Internal row key: config plus mechanism identity (code keeps sort
-    #: order identical to the frame's canonical order).
-    @staticmethod
-    def _key(result: ConfigResult) -> Tuple[CacheConfig, int, int]:
-        return (
-            result.config,
-            mechanism_code(result.mechanism),
-            result.mechanism_entries,
-        )
-
     def __init__(
         self,
-        results: Optional[Iterable[ConfigResult]] = None,
+        results: Iterable[ConfigResult] = (),
         counters: Optional[DewCounters] = None,
         elapsed_seconds: float = 0.0,
         simulator_name: str = "dew",
         trace_name: str = "trace",
     ) -> None:
-        self._by_config: Optional[
-            Dict[Tuple[CacheConfig, int, int], ConfigResult]
-        ] = {}
-        self._frame: Optional[ResultsFrame] = None
-        for result in results or []:
-            self.add(result)
+        self._frame = ResultsFrame.from_results(
+            results,
+            elapsed_seconds=elapsed_seconds,
+            simulator_name=simulator_name,
+            trace_name=trace_name,
+        )
         self.counters = counters or DewCounters()
-        self.elapsed_seconds = elapsed_seconds
-        self.simulator_name = simulator_name
-        self.trace_name = trace_name
 
     @classmethod
     def from_frame(
@@ -938,64 +926,40 @@ class SimulationResults:
     ) -> "SimulationResults":
         """Wrap a columnar frame without materialising per-row objects."""
         view = cls.__new__(cls)
-        view._by_config = None
         view._frame = frame
         view.counters = counters or DewCounters()
-        view.elapsed_seconds = frame.elapsed_seconds
-        view.simulator_name = frame.simulator_name
-        view.trace_name = frame.trace_name
         return view
 
     def frame(self) -> ResultsFrame:
-        """This run's results in columnar form (cached; canonical row order)."""
-        if self._frame is not None and (
-            self._frame.elapsed_seconds != self.elapsed_seconds
-            or self._frame.simulator_name != self.simulator_name
-            or self._frame.trace_name != self.trace_name
-        ):
-            self._frame = self._frame.with_metadata(
-                elapsed_seconds=self.elapsed_seconds,
-                simulator_name=self.simulator_name,
-                trace_name=self.trace_name,
-            )
-        if self._frame is None:
-            assert self._by_config is not None
-            self._frame = ResultsFrame.from_results(
-                self._by_config.values(),
-                elapsed_seconds=self.elapsed_seconds,
-                simulator_name=self.simulator_name,
-                trace_name=self.trace_name,
-            )
+        """This run's results in columnar form (canonical row order)."""
         return self._frame
 
-    def _mapping(self) -> Dict[Tuple[CacheConfig, int, int], ConfigResult]:
-        if self._by_config is None:
-            assert self._frame is not None
-            self._by_config = {self._key(result): result for result in self._frame}
-        return self._by_config
+    @property
+    def simulator_name(self) -> str:
+        """Name of the simulator that produced the run (frame metadata)."""
+        return self._frame.simulator_name
+
+    @property
+    def trace_name(self) -> str:
+        """Name of the simulated trace (frame metadata)."""
+        return self._frame.trace_name
+
+    @property
+    def elapsed_seconds(self) -> float:
+        """Simulation wall time in seconds (frame metadata)."""
+        return self._frame.elapsed_seconds
+
+    @elapsed_seconds.setter
+    def elapsed_seconds(self, value: float) -> None:
+        self._frame = self._frame.with_metadata(elapsed_seconds=value)
 
     # -- container protocol ---------------------------------------------------
 
-    def add(self, result: ConfigResult) -> None:
-        """Insert one per-configuration result (row keys must be unique)."""
-        mapping = self._mapping()
-        key = self._key(result)
-        if key in mapping:
-            raise SimulationError(f"duplicate result for configuration {result.config.label()}")
-        mapping[key] = result
-        self._frame = None
-
     def __len__(self) -> int:
-        if self._by_config is None:
-            assert self._frame is not None
-            return len(self._frame)
-        return len(self._by_config)
+        return len(self._frame)
 
     def __iter__(self) -> Iterator[ConfigResult]:
-        if self._by_config is None:
-            assert self._frame is not None
-            return iter(self._frame)
-        return iter(sorted(self._by_config.values(), key=self._key))
+        return iter(self._frame)
 
     def __contains__(self, config: CacheConfig) -> bool:
         return self.get(config) is not None
@@ -1009,10 +973,7 @@ class SimulationResults:
     def configs(self) -> List[CacheConfig]:
         """All configurations covered by this run, sorted (duplicates kept
         once per mechanism variant)."""
-        if self._by_config is None:
-            assert self._frame is not None
-            return [self._frame.config_at(row) for row in range(len(self._frame))]
-        return [key[0] for key in sorted(self._by_config)]
+        return [self._frame.config_at(row) for row in range(len(self._frame))]
 
     # -- lookups --------------------------------------------------------------
 
@@ -1023,13 +984,8 @@ class SimulationResults:
         mechanism_entries: int = 0,
     ) -> Optional[ConfigResult]:
         """Result for ``(config, mechanism, entries)`` or ``None``."""
-        if self._by_config is None:
-            assert self._frame is not None
-            row = self._frame.index_of(config, mechanism, mechanism_entries)
-            return None if row is None else self._frame.result_at(row)
-        return self._by_config.get(
-            (config, mechanism_code(mechanism), int(mechanism_entries))
-        )
+        row = self._frame.index_of(config, mechanism, mechanism_entries)
+        return None if row is None else self._frame.result_at(row)
 
     def misses(self, config: CacheConfig) -> int:
         """Miss count for ``config``."""
@@ -1065,21 +1021,20 @@ class SimulationResults:
         trace_name: str = "trace",
     ) -> "SimulationResults":
         """Convert a Dinero-style per-config stats mapping into results."""
-        results = [
-            ConfigResult(
-                config=config,
-                accesses=stat.accesses,
-                misses=stat.misses,
-                compulsory_misses=stat.compulsory_misses,
-            )
-            for config, stat in stats.items()
-        ]
-        return cls(
-            results,
+        configs = list(stats)
+        frame = ResultsFrame(
+            [config.num_sets for config in configs],
+            [config.associativity for config in configs],
+            [config.block_size for config in configs],
+            [_policy_code(config.policy) for config in configs],
+            [stats[config].accesses for config in configs],
+            [stats[config].misses for config in configs],
+            [stats[config].compulsory_misses for config in configs],
             elapsed_seconds=elapsed_seconds,
             simulator_name=simulator_name,
             trace_name=trace_name,
         )
+        return cls.from_frame(frame)
 
     def as_rows(self) -> List[Dict[str, object]]:
         """Flat list of per-configuration dictionaries (sorted by config)."""

@@ -29,7 +29,7 @@ from repro.cache.stats import CacheStats
 from repro.core.config import CacheConfig
 from repro.core.counters import DewCounters
 from repro.core.dew import DewSimulator
-from repro.core.results import ConfigResult, ResultsFrame, SimulationResults, policy_code
+from repro.core.results import ResultsFrame, SimulationResults, policy_code
 from repro.engine.base import Engine, register_engine
 from repro.errors import ConfigurationError, SimulationError
 from repro.lru.janapsatya import JanapsatyaSimulator
@@ -104,9 +104,6 @@ class DewEngine(Engine):
     def finalize(self, trace_name: str = "trace") -> SimulationResults:
         return self.simulator.results(trace_name=trace_name)
 
-    def finalize_frame(self, trace_name: str = "trace") -> ResultsFrame:
-        return self.simulator.results_frame(trace_name=trace_name)
-
     def reset(self) -> None:
         self.simulator.reset()
         self._elapsed = 0.0
@@ -155,12 +152,9 @@ class SingleConfigEngine(Engine):
         self.simulator.run_blocks(blocks, access_types)
 
     def finalize(self, trace_name: str = "trace") -> SimulationResults:
-        return SimulationResults.from_frame(self.finalize_frame(trace_name=trace_name))
-
-    def finalize_frame(self, trace_name: str = "trace") -> ResultsFrame:
         stats = self.simulator.stats
         config = self.config
-        return ResultsFrame(
+        frame = ResultsFrame(
             [config.num_sets],
             [config.associativity],
             [config.block_size],
@@ -171,6 +165,7 @@ class SingleConfigEngine(Engine):
             simulator_name=self.family,
             trace_name=trace_name,
         )
+        return SimulationResults.from_frame(frame)
 
     def reset(self) -> None:
         self.simulator.reset()
@@ -349,19 +344,19 @@ class StackDistanceLruEngine(Engine):
                 misses[capacity] += 1
 
     def finalize(self, trace_name: str = "trace") -> SimulationResults:
-        results = SimulationResults(
-            simulator_name=self.family, trace_name=trace_name
+        rows = len(self.capacities)
+        frame = ResultsFrame(
+            np.ones(rows, dtype=np.int64),
+            self.capacities,
+            np.full(rows, self.block_size, dtype=np.int64),
+            np.full(rows, policy_code(ReplacementPolicy.LRU), dtype=np.int8),
+            np.full(rows, self._requests, dtype=np.int64),
+            [self._misses[capacity] for capacity in self.capacities],
+            np.full(rows, self._compulsory, dtype=np.int64),
+            simulator_name=self.family,
+            trace_name=trace_name,
         )
-        for capacity in self.capacities:
-            results.add(
-                ConfigResult(
-                    config=CacheConfig(1, capacity, self.block_size, ReplacementPolicy.LRU),
-                    accesses=self._requests,
-                    misses=self._misses[capacity],
-                    compulsory_misses=self._compulsory,
-                )
-            )
-        return results
+        return SimulationResults.from_frame(frame)
 
     def reset(self) -> None:
         self._stack = StackDistanceEngine()

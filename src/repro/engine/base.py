@@ -7,7 +7,9 @@ reference, and the LRU family — is driven through the same three-step API:
 2. feed pre-shifted block-address chunks to :meth:`Engine.run_blocks`
    (produced by :meth:`repro.trace.trace.Trace.iter_block_chunks`);
 3. collect a :class:`~repro.core.results.SimulationResults` from
-   :meth:`Engine.finalize`.
+   :meth:`Engine.finalize` — a view over the one
+   :class:`~repro.core.results.ResultsFrame` the engine emits straight from
+   its counters (there is no second, object-level finalize path).
 
 :meth:`Engine.run` bundles the three steps for whole traces; the sweep
 orchestrator (:mod:`repro.engine.sweep`) uses the same API to fan a grid of
@@ -23,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Type, Union
 
 import numpy as np
 
-from repro.core.results import ResultsFrame, SimulationResults
+from repro.core.results import SimulationResults
 from repro.errors import EngineError, SimulationError
 from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace
 
@@ -70,7 +72,14 @@ class Engine(abc.ABC):
 
     @abc.abstractmethod
     def finalize(self, trace_name: str = "trace") -> SimulationResults:
-        """Per-configuration results accumulated so far."""
+        """Per-configuration results accumulated so far.
+
+        Implementations emit :class:`~repro.core.results.ResultsFrame`
+        columns straight from their counters and wrap them with
+        :meth:`SimulationResults.from_frame
+        <repro.core.results.SimulationResults.from_frame>`, so no per-row
+        :class:`~repro.core.results.ConfigResult` is built on the way out.
+        """
 
     @abc.abstractmethod
     def reset(self) -> None:
@@ -97,18 +106,6 @@ class Engine(abc.ABC):
         raise EngineError(
             f"engine {self.family!r} does not accept run-length-collapsed chunks"
         )
-
-    def finalize_frame(self, trace_name: str = "trace") -> ResultsFrame:
-        """Per-configuration results accumulated so far, in columnar form.
-
-        The default adapts :meth:`finalize`; engines whose state is already
-        array-shaped override this to emit
-        :class:`~repro.core.results.ResultsFrame` columns directly (and make
-        :meth:`finalize` a thin frame-backed view), so sweeps never
-        materialise per-row :class:`~repro.core.results.ConfigResult`
-        objects.
-        """
-        return self.finalize(trace_name=trace_name).frame()
 
     # -- shared driver ---------------------------------------------------------
 

@@ -53,7 +53,7 @@ from typing import (
 import numpy as np
 
 from repro.core.config import CacheConfig
-from repro.core.results import ResultsFrame, SimulationResults, mechanism_code
+from repro.core.results import ConfigResult, ResultsFrame, SimulationResults, mechanism_code
 from repro.engine.base import Engine, get_engine
 from repro.errors import EngineError, ReproError, SimulationError, VerificationError
 from repro.obs.tracing import PhaseTimer
@@ -288,17 +288,19 @@ def merge_results(
 
     Configurations reported by several jobs (e.g. direct-mapped results from
     two DEW runs sharing a block size) must agree exactly; a conflict raises
-    :class:`~repro.errors.VerificationError`.
+    :class:`~repro.errors.VerificationError`.  This row-by-row loop is the
+    object-level reference that :meth:`ResultsFrame.merge` (what
+    :meth:`SweepOutcome.merged` uses) is tested and benchmarked against.
     """
-    merged = SimulationResults(simulator_name=simulator_name, trace_name=trace_name)
+    merged: Dict[Tuple[CacheConfig, str, int], ConfigResult] = {}
+    elapsed = 0.0
     for results in per_job_results:
-        merged.elapsed_seconds += results.elapsed_seconds
+        elapsed += results.elapsed_seconds
         for result in results:
-            existing = merged.get(
-                result.config, result.mechanism, result.mechanism_entries
-            )
+            key = (result.config, result.mechanism, result.mechanism_entries)
+            existing = merged.get(key)
             if existing is None:
-                merged.add(result)
+                merged[key] = result
             elif (existing.misses, existing.accesses) != (result.misses, result.accesses):
                 label = result.config.label()
                 if result.mechanism != "none":
@@ -307,7 +309,12 @@ def merge_results(
                     f"sweep jobs disagree on {label}: "
                     f"{existing.misses}/{existing.accesses} vs {result.misses}/{result.accesses}"
                 )
-    return merged
+    return SimulationResults(
+        merged.values(),
+        elapsed_seconds=elapsed,
+        simulator_name=simulator_name,
+        trace_name=trace_name,
+    )
 
 
 @dataclass
@@ -369,11 +376,7 @@ class SweepOutcome:
         of the same jobs — and between cold and store-warmed runs — which is
         what the sweep CLI prints and what the test suite compares.
         """
-        rows = []
-        for result in self.merged():
-            row = result.as_dict()
-            rows.append(row)
-        return rows
+        return self.merged().as_rows()
 
 
 def _coerce_trace(trace: Union[Trace, Sequence[int]]) -> Trace:

@@ -29,8 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.config import CacheConfig
-from repro.core.results import ConfigResult, SimulationResults
+from repro.core.results import ResultsFrame, SimulationResults, policy_code
 from repro.errors import ConfigurationError, SimulationError
 from repro.lru.crcb import CrcbFilter
 from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace
@@ -264,23 +263,23 @@ class JanapsatyaSimulator:
     # -- results ---------------------------------------------------------------
 
     def results(self, trace_name: str = "trace") -> SimulationResults:
-        """Per-configuration results accumulated so far."""
-        results = SimulationResults(
+        """Per-configuration results accumulated so far (one row per set size
+        and associativity; compulsory misses are not tracked and read 0)."""
+        assocs = self.associativities
+        rows = len(self.set_sizes) * len(assocs)
+        frame = ResultsFrame(
+            np.repeat(np.asarray(self.set_sizes, dtype=np.int64), len(assocs)),
+            np.tile(np.asarray(assocs, dtype=np.int64), len(self.set_sizes)),
+            np.full(rows, self.block_size, dtype=np.int64),
+            np.full(rows, policy_code(ReplacementPolicy.LRU), dtype=np.int8),
+            np.full(rows, self._requests, dtype=np.int64),
+            [per_level[assoc] for per_level in self._misses for assoc in assocs],
+            np.zeros(rows, dtype=np.int64),
             elapsed_seconds=self._elapsed,
             simulator_name="janapsatya-lru",
             trace_name=trace_name,
         )
-        for level, size in enumerate(self.set_sizes):
-            for assoc in self.associativities:
-                config = CacheConfig(size, assoc, self.block_size, ReplacementPolicy.LRU)
-                results.add(
-                    ConfigResult(
-                        config=config,
-                        accesses=self._requests,
-                        misses=self._misses[level][assoc],
-                    )
-                )
-        return results
+        return SimulationResults.from_frame(frame)
 
     def reset(self) -> None:
         """Clear all simulation state and counters."""

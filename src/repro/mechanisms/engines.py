@@ -171,9 +171,9 @@ class MechanismEngine(Engine):
             if count > 1:
                 bulk_hits(count - 1, access_type)
 
-    def finalize_frame(self, trace_name: str = "trace") -> ResultsFrame:
+    def finalize(self, trace_name: str = "trace") -> SimulationResults:
         config = self.config
-        return ResultsFrame(
+        frame = ResultsFrame(
             [config.num_sets],
             [config.associativity],
             [config.block_size],
@@ -189,9 +189,7 @@ class MechanismEngine(Engine):
             mechanism_swaps=[self.mechanism_swaps],
             mechanism_allocations=[self.mechanism_allocations],
         )
-
-    def finalize(self, trace_name: str = "trace") -> SimulationResults:
-        return SimulationResults.from_frame(self.finalize_frame(trace_name=trace_name))
+        return SimulationResults.from_frame(frame)
 
     def reset(self) -> None:
         self.dl1 = SingleConfigSimulator(

@@ -46,6 +46,7 @@ from repro.store.resultstore import (
     STORE_SCHEMA_VERSION,
     ResultStore,
     StoreKey,
+    _ARTIFACT_DECODE_ERRORS,
     _ARTIFACT_SUFFIX,
     _INFLIGHT_DIR,
     _MANIFEST_NAME,
@@ -111,7 +112,7 @@ def _classify_artifact(path: Path, size: int) -> ArtifactRecord:
     try:
         with open(path, "rb") as handle:
             frame, extra = ResultsFrame.read_npz(handle)
-    except Exception as exc:
+    except _ARTIFACT_DECODE_ERRORS as exc:
         return ArtifactRecord(
             path=path, status=STATUS_CORRUPT, size_bytes=size, digest=stem,
             detail=f"unreadable artifact: {exc}",

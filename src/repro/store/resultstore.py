@@ -36,6 +36,8 @@ import os
 import tempfile
 import threading
 import time
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
@@ -45,7 +47,7 @@ import numpy as np
 from repro.core.config import CacheConfig
 from repro.core.counters import DewCounters
 from repro.core.results import ResultsFrame, SimulationResults
-from repro.errors import StoreError
+from repro.errors import SimulationError, StoreError
 from repro.obs.metrics import component_snapshot, get_registry
 
 #: Version of the store directory layout and artifact envelope.
@@ -56,6 +58,22 @@ _OBJECTS_DIR = "objects"
 _ARTIFACT_SUFFIX = ".npz"
 _INFLIGHT_DIR = "inflight"
 _INFLIGHT_SUFFIX = ".flight"
+
+#: What reading a damaged artifact can raise: truncated or garbage zip
+#: containers, corrupt compressed members (``zlib.error``), a corrupted
+#: compression-method field (zipfile's ``NotImplementedError``), malformed
+#: metadata, missing columns, unknown schemas.  Anything else is a bug in
+#: the decode path and propagates.
+_ARTIFACT_DECODE_ERRORS = (
+    OSError,
+    ValueError,
+    KeyError,
+    EOFError,
+    NotImplementedError,
+    zipfile.BadZipFile,
+    zlib.error,
+    SimulationError,
+)
 
 #: How long an on-disk in-flight marker stays authoritative without being
 #: refreshed.  A daemon that crashes mid-cell leaves its markers behind;
@@ -383,8 +401,7 @@ class ResultStore:
             self.miss_count += 1
             self._metric_misses.inc()
             return None
-        except Exception:
-            # Truncated npz, malformed metadata, wrong schema version, ...
+        except _ARTIFACT_DECODE_ERRORS:
             self.corrupt_count += 1
             self._metric_corrupt.inc()
             return None

@@ -71,11 +71,15 @@ class TestConfigResult:
 
 class TestSimulationResults:
     def _make(self):
-        results = SimulationResults(simulator_name="test", trace_name="t")
-        results.add(ConfigResult(CacheConfig(1, 2, 16), accesses=100, misses=40))
-        results.add(ConfigResult(CacheConfig(2, 2, 16), accesses=100, misses=30))
-        results.add(ConfigResult(CacheConfig(4, 2, 16), accesses=100, misses=10))
-        return results
+        return SimulationResults(
+            [
+                ConfigResult(CacheConfig(1, 2, 16), accesses=100, misses=40),
+                ConfigResult(CacheConfig(2, 2, 16), accesses=100, misses=30),
+                ConfigResult(CacheConfig(4, 2, 16), accesses=100, misses=10),
+            ],
+            simulator_name="test",
+            trace_name="t",
+        )
 
     def test_container_protocol(self):
         results = self._make()
@@ -85,9 +89,10 @@ class TestSimulationResults:
         assert [r.config.num_sets for r in results] == [1, 2, 4]
 
     def test_duplicate_rejected(self):
-        results = self._make()
-        with pytest.raises(SimulationError):
-            results.add(ConfigResult(CacheConfig(1, 2, 16), accesses=1, misses=0))
+        rows = list(self._make())
+        rows.append(ConfigResult(CacheConfig(1, 2, 16), accesses=1, misses=0))
+        with pytest.raises(SimulationError, match="duplicate"):
+            SimulationResults(rows)
 
     def test_missing_config_raises_keyerror(self):
         with pytest.raises(KeyError):
@@ -111,8 +116,7 @@ class TestSimulationResults:
         a = self._make()
         b = self._make()
         assert a.diff(b) == []
-        c = SimulationResults()
-        c.add(ConfigResult(CacheConfig(1, 2, 16), accesses=100, misses=41))
+        c = SimulationResults([ConfigResult(CacheConfig(1, 2, 16), accesses=100, misses=41)])
         differences = a.diff(c)
         assert len(differences) == 1
         assert differences[0][1:] == (40, 41)

@@ -10,7 +10,7 @@ from repro.cache.simulator import SingleConfigSimulator
 from repro.cli import main
 from repro.core.config import CacheConfig
 from repro.core.dew import DewSimulator
-from repro.core.results import ConfigResult, SimulationResults
+from repro.core.results import ConfigResult, ResultsFrame, SimulationResults
 from repro.engine import (
     Engine,
     SweepJob,
@@ -114,10 +114,15 @@ class TestRegistryDriven:
     def test_finalize_frame_agrees_with_finalize(self, name, loop_trace):
         engine = _fresh_engine(name)
         engine.run(loop_trace)
-        frame_rows = SimulationResults.from_frame(
-            engine.finalize_frame(loop_trace.name)
-        ).as_rows()
+        frame = engine.finalize(loop_trace.name).frame()
+        frame_rows = SimulationResults.from_frame(frame).as_rows()
         assert frame_rows == engine.finalize(trace_name=loop_trace.name).as_rows()
+        # Columns emitted straight from engine state equal the object path's.
+        assert frame == ResultsFrame.from_results(
+            list(frame),
+            simulator_name=frame.simulator_name,
+            trace_name=frame.trace_name,
+        )
 
     @pytest.mark.parametrize("name", sorted(ENGINE_TEST_OPTIONS))
     def test_block_runs_parity_or_loud_rejection(self, name, loop_trace):

@@ -17,7 +17,6 @@ from repro.explore.tuner import CacheTuner, TuningConstraints, tune_from_results
 
 
 def _results() -> SimulationResults:
-    results = SimulationResults(simulator_name="test", trace_name="t")
     data = [
         (CacheConfig(16, 1, 16), 400),    # 256 B, many misses
         (CacheConfig(64, 2, 16), 150),    # 2 KB
@@ -25,9 +24,11 @@ def _results() -> SimulationResults:
         (CacheConfig(512, 4, 32), 20),    # 64 KB
         (CacheConfig(1024, 8, 64), 18),   # 512 KB, tiny improvement
     ]
-    for config, misses in data:
-        results.add(ConfigResult(config, accesses=1000, misses=misses))
-    return results
+    return SimulationResults(
+        [ConfigResult(config, accesses=1000, misses=misses) for config, misses in data],
+        simulator_name="test",
+        trace_name="t",
+    )
 
 
 class TestEnergyModel:

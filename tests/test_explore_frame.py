@@ -276,7 +276,7 @@ class TestFrameNativeEnergyAndTuner:
         )
         rider.run(trace)
         frame = ResultsFrame.merge(
-            [bare.finalize_frame("tune"), rider.finalize_frame("tune")],
+            [bare.finalize("tune").frame(), rider.finalize("tune").frame()],
             trace_name="tune",
         )
         outcomes = CacheTuner(objective="misses").rank_frame(frame, top=2)

@@ -160,7 +160,7 @@ class TestFinalizeFrame:
     def test_dew_finalize_frame_matches_finalize(self, sweep_trace):
         engine = get_engine("dew", block_size=16, associativity=4, set_sizes=SET_SIZES)
         engine.run(sweep_trace)
-        frame = engine.finalize_frame(trace_name="t")
+        frame = engine.finalize(trace_name="t").frame()
         results = engine.finalize(trace_name="t")
         assert [r.as_dict() for r in frame] == results.as_rows()
         assert frame.simulator_name == "dew"
@@ -170,7 +170,7 @@ class TestFinalizeFrame:
 
         engine = get_engine("single", config=CacheConfig(8, 2, 16))
         engine.run(sweep_trace)
-        frame = engine.finalize_frame(trace_name="t")
+        frame = engine.finalize(trace_name="t").frame()
         results = engine.finalize(trace_name="t")
         assert [r.as_dict() for r in frame] == results.as_rows()
 
@@ -179,7 +179,7 @@ class TestFinalizeFrame:
             "janapsatya", block_size=16, associativities=(1, 2), set_sizes=(1, 2, 4)
         )
         engine.run(sweep_trace)
-        frame = engine.finalize_frame(trace_name="t")
+        frame = engine.finalize(trace_name="t").frame()
         assert [r.as_dict() for r in frame] == engine.finalize(trace_name="t").as_rows()
 
 

@@ -155,6 +155,6 @@ def test_mechanism_engines_conserve_bare_cache_misses(
     engine.run(trace, chunk_size=chunk_size)
     reference = SingleConfigSimulator(engine.config)
     reference.run(trace)
-    frame = engine.finalize_frame("random")
+    frame = engine.finalize("random").frame()
     assert int(frame.accesses[0]) == reference.stats.accesses
     assert int(frame.misses[0]) + int(frame.mechanism_hits[0]) == reference.stats.misses

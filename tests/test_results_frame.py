@@ -167,20 +167,19 @@ class TestSimulationResultsViews:
         assert view.as_rows() == results.as_rows()
         assert view.elapsed_seconds == results.elapsed_seconds
 
-    def test_add_after_from_frame(self):
-        view = SimulationResults.from_frame(_sample_frame())
-        view.add(_result(8, 2, 16, misses=1))
-        assert len(view) == 5
-        with pytest.raises(SimulationError, match="duplicate"):
-            view.add(_result(8, 2, 16, misses=1))
-        # The frame is rebuilt to include the added row.
-        assert view.frame().index_of(CacheConfig(8, 2, 16)) is not None
-
     def test_frame_reflects_updated_elapsed(self):
-        results = SimulationResults([_result(1, 1, 16)])
-        results.frame()
+        results = SimulationResults([_result(1, 1, 16)], trace_name="t")
+        before = results.frame()
         results.elapsed_seconds = 3.5
         assert results.frame().elapsed_seconds == 3.5
+        assert results.frame().misses is before.misses
+        assert results.frame().trace_name == "t"
+
+    def test_names_are_read_only_frame_metadata(self):
+        results = SimulationResults.from_frame(_sample_frame())
+        assert results.simulator_name == results.frame().simulator_name
+        with pytest.raises(AttributeError):
+            results.trace_name = "other"
 
     def test_to_json_is_stable(self):
         a = SimulationResults(

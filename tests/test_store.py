@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.config import CacheConfig
-from repro.core.results import ConfigResult, SimulationResults
+from repro.core.results import ConfigResult, ResultsFrame, SimulationResults
 from repro.engine import SweepJob, build_grid_jobs, run_sweep
 from repro.errors import StoreError
 from repro.store import STORE_SCHEMA_VERSION, ResultStore, StoreKey, open_store
@@ -101,6 +101,37 @@ class TestResultStore:
         # A fresh put repairs the slot.
         store.put(key, _results())
         assert store.get(key) is not None
+
+    def test_every_single_byte_flip_is_a_hit_or_a_miss(self, tmp_path):
+        # Damage anywhere in the payload is either harmless (zip bookkeeping
+        # outside the CRC-checked members) or a counted corruption; it never
+        # escapes as an exception.
+        store = open_store(tmp_path)
+        key = _key()
+        path = store.put(key, _results())
+        pristine = path.read_bytes()
+        for offset in range(len(pristine)):
+            damaged = bytearray(pristine)
+            damaged[offset] ^= 0xFF
+            path.write_bytes(bytes(damaged))
+            loaded = store.get(key)
+            assert loaded is None or loaded.as_rows() == _results().as_rows()
+        assert store.corrupt_count > 0
+
+    def test_decode_bug_propagates_instead_of_counting_corrupt(
+        self, tmp_path, monkeypatch
+    ):
+        store = open_store(tmp_path)
+        key = _key()
+        store.put(key, _results())
+
+        def broken_read_npz(file):
+            raise TypeError("bug in the frame decoder")
+
+        monkeypatch.setattr(ResultsFrame, "read_npz", broken_read_npz)
+        with pytest.raises(TypeError, match="bug in the frame decoder"):
+            store.get(key)
+        assert store.corrupt_count == 0
 
     def test_mis_addressed_artifact_is_a_miss(self, tmp_path):
         store = open_store(tmp_path)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core.config import CacheConfig
-from repro.core.results import ConfigResult, SimulationResults
+from repro.core.results import ConfigResult, ResultsFrame, SimulationResults
 from repro.engine import build_grid_jobs, run_sweep
 from repro.errors import StoreError
 from repro.store import (
@@ -70,6 +70,19 @@ class TestVerifyStore:
         assert not report.clean
         assert report.count("corrupt") == 1
         assert report.problems[0].path == path
+
+    def test_decode_bug_propagates_instead_of_reporting_corrupt(
+        self, tmp_path, monkeypatch
+    ):
+        store = open_store(tmp_path)
+        store.put(_key(), _results())
+
+        def broken_read_npz(file):
+            raise TypeError("bug in the frame decoder")
+
+        monkeypatch.setattr(ResultsFrame, "read_npz", broken_read_npz)
+        with pytest.raises(TypeError, match="bug in the frame decoder"):
+            verify_store(store)
 
     def test_mis_addressed_artifact_reported(self, tmp_path):
         store = open_store(tmp_path)
