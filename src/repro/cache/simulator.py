@@ -3,6 +3,12 @@
 :class:`SingleConfigSimulator` models what one Dinero IV invocation does: it
 owns the storage for exactly one cache configuration and must be driven over
 the whole trace to produce hit/miss counts for that configuration alone.
+
+Each set (a :class:`CacheSet` and its policy object) is built the first time
+an access indexes it, so a mostly-untouched 16384-set cache costs only the
+sets the trace reaches.  Set ``i`` gets its policy seeded with ``seed + i``,
+which keeps every ``RANDOM`` set on its own deterministic stream whenever it
+is built.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from repro.cache.stats import CacheStats
 from repro.core.config import CacheConfig
 from repro.errors import SimulationError
 from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace
-from repro.types import AccessType
+from repro.types import ACCESS_TYPE_BY_CODE, AccessType
 
 
 class SingleConfigSimulator:
@@ -39,14 +45,22 @@ class SingleConfigSimulator:
     def __init__(self, config: CacheConfig, seed: int = 0, track_compulsory: bool = True) -> None:
         self.config = config
         self.stats = CacheStats()
-        self._sets: List[CacheSet] = [
-            CacheSet(config.associativity, make_policy(config.policy, config.associativity, seed=seed + i))
-            for i in range(config.num_sets)
-        ]
+        self._seed = seed
+        self._sets: List[Optional[CacheSet]] = [None] * config.num_sets
         self._offset_bits = config.offset_bits
         self._index_mask = config.num_sets - 1
         self._track_compulsory = track_compulsory
         self._seen_blocks: Set[int] = set()
+
+    def _set(self, index: int) -> CacheSet:
+        """Build set ``index`` on its first touch."""
+        config = self.config
+        cache_set = CacheSet(
+            config.associativity,
+            make_policy(config.policy, config.associativity, seed=self._seed + index),
+        )
+        self._sets[index] = cache_set
+        return cache_set
 
     # -- single access --------------------------------------------------------
 
@@ -70,7 +84,10 @@ class SingleConfigSimulator:
         and ``compulsory`` flags a first-touch miss so a mechanism engine can
         classify the misses that survive its own probe.
         """
-        cache_set = self._sets[block & self._index_mask]
+        index = block & self._index_mask
+        cache_set = self._sets[index]
+        if cache_set is None:
+            cache_set = self._set(index)
         before = cache_set.comparisons
         compulsory = False
         if self._track_compulsory:
@@ -97,15 +114,16 @@ class SingleConfigSimulator:
         """Simulate a chunk of pre-shifted block addresses (engine pipeline)."""
         if isinstance(blocks, np.ndarray):
             blocks = blocks.tolist()
-        access_block = self.access_block
+        access = self.access_block_detail
         if access_types is None:
             for block in blocks:
-                access_block(block)
+                access(block)
             return
         if isinstance(access_types, np.ndarray):
             access_types = access_types.tolist()
+        by_code = ACCESS_TYPE_BY_CODE
         for block, type_code in zip(blocks, access_types):
-            access_block(block, AccessType(type_code))
+            access(block, by_code[type_code])
 
     def run(
         self,
@@ -127,19 +145,22 @@ class SingleConfigSimulator:
 
     def resident_blocks(self, set_index: Optional[int] = None) -> List[List[int]]:
         """Blocks currently resident, per set (or for one set)."""
-        if set_index is not None:
-            return [self._sets[set_index].resident_blocks()]
-        return [cache_set.resident_blocks() for cache_set in self._sets]
+        sets = self._sets if set_index is None else [self._sets[set_index]]
+        return [[] if cache_set is None else cache_set.resident_blocks() for cache_set in sets]
 
     def contains_block(self, block: int) -> bool:
         """True when ``block`` (a block address) is resident."""
         cache_set = self._sets[block & self._index_mask]
-        return block in cache_set.resident_blocks()
+        return cache_set is not None and block in cache_set.resident_blocks()
 
     def reset(self) -> None:
-        """Empty the cache and zero the statistics."""
-        for cache_set in self._sets:
-            cache_set.reset()
+        """Empty the cache and zero the statistics.
+
+        A set built afresh on its next touch equals a reset one: a policy's
+        reset restores the state its constructor gives it (``RANDOM``
+        re-seeds with the same seed).
+        """
+        self._sets = [None] * self.config.num_sets
         self.stats = CacheStats()
         self._seen_blocks = set()
 

@@ -38,7 +38,7 @@ from repro.core.results import (
 from repro.engine.base import Engine, register_engine
 from repro.errors import ConfigurationError, SimulationError
 from repro.mechanisms.buffers import FullyAssociativeBuffer, StreamBufferSet
-from repro.types import AccessType, ReplacementPolicy
+from repro.types import ACCESS_TYPE_BY_CODE, AccessType, ReplacementPolicy
 
 BlockChunk = Union[Sequence[int], np.ndarray]
 TypeChunk = Optional[Union[Sequence[int], np.ndarray]]
@@ -127,8 +127,9 @@ class MechanismEngine(Engine):
             return
         if isinstance(access_types, np.ndarray):
             access_types = access_types.tolist()
+        by_code = ACCESS_TYPE_BY_CODE
         for block, type_code in zip(blocks, access_types):
-            access(block, AccessType(type_code))
+            access(block, by_code[type_code])
 
     def run_block_runs(
         self, values: BlockChunk, counts: BlockChunk, access_types: TypeChunk = None
@@ -159,7 +160,7 @@ class MechanismEngine(Engine):
             zip(arr.tolist(), counts_arr.tolist())
         ):
             access_type = (
-                AccessType.READ if types is None else AccessType(types[index])
+                AccessType.READ if types is None else ACCESS_TYPE_BY_CODE[types[index]]
             )
             if block == self._last_block:
                 # The previous access inserted (or hit) this block, so every

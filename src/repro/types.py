@@ -18,7 +18,7 @@ The simulators deal with three notions of "address":
 from __future__ import annotations
 
 import enum
-from typing import Union
+from typing import Dict, Union
 
 #: A byte address in the simulated address space.
 Address = int
@@ -67,6 +67,20 @@ class AccessType(enum.IntEnum):
     def symbol(self) -> str:
         """Single-character Dinero-style label."""
         return {self.READ: "r", self.WRITE: "w", self.INSTR_FETCH: "i"}[self]
+
+
+class _AccessTypeTable(dict):
+    """Code -> :class:`AccessType`; an unknown code raises like ``AccessType(code)``."""
+
+    def __missing__(self, code: int) -> AccessType:
+        return AccessType(code)
+
+
+#: Per-access code lookup for the simulators' hot loops: a dict hit instead
+#: of an enum ``__call__`` per access.
+ACCESS_TYPE_BY_CODE: Dict[int, AccessType] = _AccessTypeTable(
+    (access_type.value, access_type) for access_type in AccessType
+)
 
 
 class ReplacementPolicy(enum.Enum):

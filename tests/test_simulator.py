@@ -2,12 +2,15 @@
 
 import pytest
 
+import repro.cache.simulator as simulator_module
 from repro.cache.dinero import DineroStyleRunner
 from repro.cache.simulator import SingleConfigSimulator, simulate_trace
 from repro.core.config import CacheConfig
+from repro.engine import get_engine
 from repro.errors import SimulationError
 from repro.trace.trace import Trace
 from repro.types import AccessType, ReplacementPolicy
+from repro.workloads.mediabench import mediabench_trace
 
 
 class TestSingleConfigSimulator:
@@ -66,6 +69,14 @@ class TestSingleConfigSimulator:
         assert stats.accesses == 3
         assert stats.by_type[AccessType.WRITE] == 1
 
+    def test_unknown_access_type_code_raises(self):
+        simulator = SingleConfigSimulator(CacheConfig(2, 1, 4))
+        with pytest.raises(ValueError):
+            simulator.run_blocks([1, 2], [0, -1])
+        engine = get_engine("victim-cache", num_sets=2, associativity=1, block_size=4, entries=2)
+        with pytest.raises(ValueError):
+            engine.run_blocks([1, 2], [2, 3])
+
     def test_contains_block_and_resident(self):
         simulator = SingleConfigSimulator(CacheConfig(2, 1, 4))
         simulator.access(0)
@@ -79,6 +90,76 @@ class TestSingleConfigSimulator:
         simulator.reset()
         assert simulator.stats.accesses == 0
         assert simulator.resident_blocks() == [[], []]
+
+
+class TestPerSetState:
+    """Per-set state: RANDOM seeding per set, sets built on first touch."""
+
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [
+            # (misses, evictions, compulsory_misses, tag_comparisons)
+            (0, (360, 131, 312, 6817)),
+            (7, (351, 122, 312, 7192)),
+        ],
+    )
+    def test_random_policy_counts_are_pinned(self, seed, expected):
+        # Set i draws victims from its own stream seeded with seed + i; a
+        # set seeded any other way changes these counts.
+        config = CacheConfig(64, 4, 16, ReplacementPolicy.RANDOM)
+        simulator = SingleConfigSimulator(config, seed=seed)
+        stats = simulator.run(mediabench_trace("cjpeg", 3000, seed=5))
+        assert (
+            stats.misses,
+            stats.evictions,
+            stats.compulsory_misses,
+            stats.tag_comparisons,
+        ) == expected
+
+    def test_sets_are_built_on_first_touch(self, monkeypatch):
+        built = []
+
+        class CountingCacheSet(simulator_module.CacheSet):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(simulator_module, "CacheSet", CountingCacheSet)
+        config = CacheConfig(16384, 8, 16, ReplacementPolicy.FIFO)
+        simulator = SingleConfigSimulator(config)
+        assert len(built) == 0
+        trace = mediabench_trace("cjpeg", 3000, seed=5)
+        simulator.run(trace)
+        blocks = trace.block_addresses(config.block_size).tolist()
+        touched = {block & (config.num_sets - 1) for block in blocks}
+        assert len(built) == len(touched)
+
+    def test_untouched_sets_read_as_empty(self):
+        simulator = SingleConfigSimulator(CacheConfig(8, 2, 4))
+        assert simulator.resident_blocks() == [[]] * 8
+        assert simulator.resident_blocks(5) == [[]]
+        assert not simulator.contains_block(13)
+        simulator.run([4 * 3, 4 * 11, 4 * 3])
+        assert simulator.resident_blocks() == [[], [], [], [3, 11], [], [], [], []]
+        assert simulator.contains_block(11)
+        assert not simulator.contains_block(19)
+        assert not simulator.contains_block(5)
+        simulator.reset()
+        assert simulator.resident_blocks() == [[]] * 8
+        assert not simulator.contains_block(3)
+        assert simulator.stats.accesses == 0
+
+    def test_reset_replays_random_streams(self):
+        config = CacheConfig(4, 2, 4, ReplacementPolicy.RANDOM)
+        trace = mediabench_trace("cjpeg", 2000, seed=3)
+        simulator = SingleConfigSimulator(config, seed=11)
+        first = simulator.run(trace).as_dict()
+        simulator.reset()
+        assert simulator.run(trace).as_dict() == first
+        fresh = SingleConfigSimulator(config, seed=11).run(trace).as_dict()
+        assert fresh == first
 
 
 class TestDineroStyleRunner:
