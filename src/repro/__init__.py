@@ -1,15 +1,15 @@
 """repro: a reproduction of DEW, the single-pass multi-configuration FIFO
 L1 cache simulator of Haque et al. (DATE 2010).
 
-The package is organised by subsystem (see ``DESIGN.md`` for the full
-inventory):
+The package is organised by subsystem (see the Architecture section of
+``README.md`` for the full inventory):
 
 * :mod:`repro.core` — the DEW simulator itself (binomial simulation tree,
   wave pointers, MRA/MRE shortcuts) and the configuration space.
 * :mod:`repro.cache` — a conventional single-configuration reference
   simulator with pluggable replacement policies (the Dinero IV stand-in).
 * :mod:`repro.lru` — single-pass LRU baselines (Janapsatya-style simulator,
-  CRCB-style pruning, stack distances).
+  stack distances).
 * :mod:`repro.trace` — trace containers, file formats, statistics, filters.
 * :mod:`repro.workloads` — synthetic Mediabench-style workload generators.
 * :mod:`repro.explore` — energy model, Pareto fronts and cache tuning.

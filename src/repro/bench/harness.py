@@ -8,7 +8,7 @@ property-effectiveness rows and — because every cell carries both simulators'
 results — an exactness check on every run.
 
 Trace lengths are scaled down from the paper's multi-million-request traces
-(see DESIGN.md §2); the default budget is controlled by the
+(see the :mod:`repro.workloads.mediabench` docstring); the default budget is controlled by the
 ``REPRO_BENCH_REQUESTS`` environment variable.
 """
 

@@ -130,121 +130,14 @@ class DewSimulator:
     # -- simulation ------------------------------------------------------------
 
     def access(self, address: int) -> None:
-        """Simulate one byte-address request against every configuration."""
+        """Simulate one byte-address request against every configuration.
+
+        A one-block chunk through :meth:`run_blocks`, so there is exactly
+        one walk to keep correct.
+        """
         if address < 0:
             raise SimulationError(f"negative address: {address}")
-        self._access_block(address >> self._offset_bits)
-
-    def _access_block(self, block: int) -> None:
-        """Simulate one request given its block address.
-
-        This is the dedicated single-access path (no chunk setup cost); the
-        walk is intentionally the same code as the chunk loop in
-        :meth:`run_blocks`, and the test suite asserts both paths produce
-        identical miss counts *and* work counters.
-        """
-        counters = self.counters
-        counters.requests += 1
-        self._requests += 1
-        if self.track_compulsory and block not in self._seen_blocks:
-            self._seen_blocks.add(block)
-            self._compulsory += 1
-
-        associativity = self.tree.associativity
-        misses = self._misses
-        dm_misses = self._dm_misses
-        enable_mra = self.enable_mra
-        enable_wave = self.enable_wave
-        enable_mre = self.enable_mre
-        per_level = counters.evaluations_per_level
-
-        incoming_wave = EMPTY_WAVE
-        parent_waves: Optional[List[int]] = None
-        parent_entry = -1
-
-        for level, (index_mask, level_tags, level_waves, level_mra,
-                    level_mre_tag, level_mre_wave, level_fifo) in enumerate(self._levels):
-            set_index = block & index_mask
-            counters.node_evaluations += 1
-            per_level[level] += 1
-
-            counters.tag_comparisons += 1
-            mra_match = level_mra[set_index] == block
-            if mra_match:
-                if enable_mra:
-                    counters.mra_hits += 1
-                    return
-                incoming_wave = EMPTY_WAVE
-                parent_waves = None
-                continue
-
-            dm_misses[level] += 1
-            base = set_index * associativity
-            hit = False
-            found_way = -1
-            decided = False
-
-            if enable_wave and incoming_wave != EMPTY_WAVE:
-                counters.wave_decisions += 1
-                counters.tag_comparisons += 1
-                if level_tags[base + incoming_wave] == block:
-                    hit = True
-                    found_way = incoming_wave
-                    counters.wave_hits += 1
-                else:
-                    counters.wave_misses += 1
-                decided = True
-
-            if not decided and enable_mre:
-                counters.tag_comparisons += 1
-                if level_mre_tag[set_index] == block:
-                    counters.mre_decisions += 1
-                    decided = True
-
-            if not decided:
-                counters.searches += 1
-                for way in range(associativity):
-                    tag = level_tags[base + way]
-                    if tag == INVALID_TAG:
-                        continue
-                    counters.tag_comparisons += 1
-                    if tag == block:
-                        hit = True
-                        found_way = way
-                        counters.search_hits += 1
-                        break
-
-            if hit:
-                level_mra[set_index] = block
-                if parent_waves is not None:
-                    parent_waves[parent_entry] = found_way
-                next_entry = base + found_way
-            else:
-                misses[level] += 1
-                level_mra[set_index] = block
-                victim = level_fifo[set_index]
-                victim_slot = base + victim
-                displaced_tag = level_tags[victim_slot]
-                displaced_wave = level_waves[victim_slot]
-                if level_mre_tag[set_index] == block:
-                    level_tags[victim_slot] = block
-                    level_waves[victim_slot] = level_mre_wave[set_index]
-                    level_mre_tag[set_index] = displaced_tag
-                    level_mre_wave[set_index] = displaced_wave
-                else:
-                    level_tags[victim_slot] = block
-                    level_waves[victim_slot] = EMPTY_WAVE
-                    if displaced_tag != INVALID_TAG:
-                        level_mre_tag[set_index] = displaced_tag
-                        level_mre_wave[set_index] = displaced_wave
-                level_fifo[set_index] = (victim + 1) % associativity
-                if parent_waves is not None:
-                    parent_waves[parent_entry] = victim
-                next_entry = victim_slot
-
-            incoming_wave = level_waves[next_entry]
-            parent_waves = level_waves
-            parent_entry = next_entry
+        self.run_blocks([address >> self._offset_bits])
 
     def run_blocks(self, blocks: Union[Sequence[int], np.ndarray]) -> None:
         """Simulate a chunk of block-address requests against every configuration.
@@ -465,23 +358,12 @@ class DewSimulator:
         trace: Union[Trace, Iterable[int]],
         trace_name: Optional[str] = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        collapse: bool = False,
     ) -> SimulationResults:
-        """Simulate a whole trace and return the per-configuration results.
-
-        With ``collapse=True`` (and a :class:`Trace` input) the block stream
-        is run-length collapsed first and fed through
-        :meth:`run_block_runs` — results and counters are identical, only
-        the number of Python-level walk iterations shrinks.
-        """
+        """Simulate a whole trace and return the per-configuration results."""
         start = time.perf_counter()
         if isinstance(trace, Trace):
-            if collapse:
-                for values, counts in trace.iter_block_runs(self._offset_bits, chunk_size):
-                    self.run_block_runs(values, counts)
-            else:
-                for chunk in trace.iter_block_chunks(self._offset_bits, chunk_size):
-                    self.run_blocks(chunk)
+            for chunk in trace.iter_block_chunks(self._offset_bits, chunk_size):
+                self.run_blocks(chunk)
             name = trace_name or trace.name
         else:
             for address in trace:

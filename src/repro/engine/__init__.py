@@ -15,7 +15,6 @@ from repro.engine.base import (
     register_engine,
 )
 from repro.engine.adapters import (
-    CrcbJanapsatyaEngine,
     DewEngine,
     JanapsatyaEngine,
     SingleConfigEngine,
@@ -45,7 +44,6 @@ __all__ = [
     "DewEngine",
     "SingleConfigEngine",
     "JanapsatyaEngine",
-    "CrcbJanapsatyaEngine",
     "StackDistanceLruEngine",
     "MissCacheEngine",
     "StreamBufferEngine",

@@ -10,8 +10,6 @@ registry key              underlying simulator
                           (one Dinero-style configuration, any policy)
 ``janapsatya``            :class:`repro.lru.janapsatya.JanapsatyaSimulator`
                           (one pass, all set sizes x associativities, LRU)
-``janapsatya-crcb``       same, with CRCB-style consecutive-same-block pruning
-                          applied chunk by chunk (results stay exact)
 ``lru-stack``             :class:`repro.lru.stack.StackDistanceEngine`
                           (fully-associative LRU, every capacity in one pass)
 ========================  ====================================================
@@ -31,7 +29,7 @@ from repro.core.counters import DewCounters
 from repro.core.dew import DewSimulator
 from repro.core.results import ResultsFrame, SimulationResults, policy_code
 from repro.engine.base import Engine, register_engine
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.lru.janapsatya import JanapsatyaSimulator
 from repro.lru.stack import StackDistanceEngine
 from repro.trace.trace import DEFAULT_CHUNK_SIZE, Trace
@@ -214,84 +212,6 @@ class JanapsatyaEngine(Engine):
     def reset(self) -> None:
         self.simulator.reset()
         self._elapsed = 0.0
-
-
-@register_engine("janapsatya-crcb")
-class CrcbJanapsatyaEngine(JanapsatyaEngine):
-    """Janapsatya LRU with streaming CRCB pruning.
-
-    Consecutive accesses to the same block are pruned before they reach the
-    simulator — chunk by chunk, carrying the last block across chunk
-    boundaries — and folded back in as universal hits at finalize time, so
-    miss counts stay exact (Tojo et al.'s observation).
-    """
-
-    def __init__(
-        self,
-        block_size: int,
-        associativities: Sequence[int],
-        set_sizes: Sequence[int],
-        use_mru_stop: bool = True,
-    ) -> None:
-        super().__init__(block_size, associativities, set_sizes, use_mru_stop=use_mru_stop)
-        self._last_block: Optional[int] = None
-        self._pending_pruned = 0
-
-    def run_blocks(self, blocks: BlockChunk, access_types: TypeChunk = None) -> None:
-        arr = np.asarray(blocks, dtype=np.int64)
-        if arr.size == 0:
-            return
-        keep = np.ones(arr.size, dtype=bool)
-        keep[1:] = arr[1:] != arr[:-1]
-        if self._last_block is not None and int(arr[0]) == self._last_block:
-            keep[0] = False
-        kept = arr[keep]
-        self._pending_pruned += int(arr.size - kept.size)
-        self._last_block = int(arr[-1])
-        if kept.size:
-            self.simulator.run_blocks(kept)
-
-    def run_block_runs(
-        self, values: BlockChunk, counts: BlockChunk, access_types: TypeChunk = None
-    ) -> None:
-        # A run-length-collapsed chunk is exactly what CRCB pruning computes:
-        # each run's head is the one access the simulator sees, the rest of
-        # the run is pruned (and folded back in as universal hits at
-        # finalize).  Consuming runs natively therefore skips re-deriving
-        # the keep mask — only the chunk-boundary carry needs handling, plus
-        # the defensive same-value-adjacent-runs case for non-canonical
-        # inputs.
-        arr = np.asarray(values, dtype=np.int64)
-        counts_arr = np.asarray(counts, dtype=np.int64)
-        if counts_arr.size != arr.size:
-            raise SimulationError(
-                f"run-length chunk mismatch: {arr.size} values vs "
-                f"{counts_arr.size} counts"
-            )
-        if arr.size == 0:
-            return
-        if counts_arr.min() < 1:
-            raise SimulationError("run-length counts must be positive")
-        keep = np.ones(arr.size, dtype=bool)
-        keep[1:] = arr[1:] != arr[:-1]
-        if self._last_block is not None and int(arr[0]) == self._last_block:
-            keep[0] = False
-        kept = arr[keep]
-        self._pending_pruned += int(counts_arr.sum()) - int(kept.size)
-        self._last_block = int(arr[-1])
-        if kept.size:
-            self.simulator.run_blocks(kept)
-
-    def finalize(self, trace_name: str = "trace") -> SimulationResults:
-        if self._pending_pruned:
-            self.simulator.account_pruned_hits(self._pending_pruned)
-            self._pending_pruned = 0
-        return super().finalize(trace_name=trace_name)
-
-    def reset(self) -> None:
-        super().reset()
-        self._last_block = None
-        self._pending_pruned = 0
 
 
 @register_engine("lru-stack")

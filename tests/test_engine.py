@@ -36,7 +36,6 @@ class TestRegistry:
             "dew",
             "single",
             "janapsatya",
-            "janapsatya-crcb",
             "lru-stack",
             "miss-cache",
             "stream-buffer",
@@ -159,13 +158,24 @@ class TestDewEngine:
         results = engine.run(mixed_trace, chunk_size=chunk_size)
         assert not results.diff(baseline)
 
-    def test_counters_match_per_address_path(self, loop_trace):
-        per_address = DewSimulator(16, 4, SET_SIZES)
+    @pytest.mark.parametrize(
+        "name, options",
+        [
+            ("dew", dict(block_size=16, associativity=4, set_sizes=SET_SIZES)),
+            ("janapsatya", dict(block_size=16, associativities=(1, 2, 4), set_sizes=SET_SIZES)),
+        ],
+        ids=["dew", "janapsatya"],
+    )
+    def test_counters_match_per_address_path(self, name, options, loop_trace):
+        per_address = get_engine(name, **options)
         for address in loop_trace.address_list():
-            per_address.access(address)
-        engine = get_engine("dew", block_size=16, associativity=4, set_sizes=SET_SIZES)
+            per_address.simulator.access(address)
+        engine = get_engine(name, **options)
         engine.run(loop_trace)
-        assert engine.counters.as_dict() == per_address.counters.as_dict()
+        assert (
+            engine.simulator.counters.as_dict() == per_address.simulator.counters.as_dict()
+        )
+        assert engine.finalize("loop").as_rows() == per_address.finalize("loop").as_rows()
 
     def test_run_accepts_bare_iterable(self, small_random_addresses):
         engine = get_engine("dew", block_size=8, associativity=2, set_sizes=(1, 2, 4))
@@ -199,19 +209,6 @@ class TestLruEngines:
             "janapsatya", block_size=16, associativities=(1, 2, 4), set_sizes=SET_SIZES
         )
         assert not engine.run(mixed_trace, chunk_size=7).diff(direct)
-
-    def test_crcb_pruning_stays_exact_across_chunk_boundaries(self):
-        # Back-to-back repeats force pruning, including across chunk edges.
-        addresses = [0, 0, 0, 64, 64, 0, 128, 128, 128, 128, 0, 0]
-        trace = Trace(addresses, name="repeats")
-        plain = get_engine(
-            "janapsatya", block_size=16, associativities=(1, 2), set_sizes=(1, 2, 4)
-        ).run(trace)
-        for chunk_size in (1, 2, 3, 100):
-            pruned = get_engine(
-                "janapsatya-crcb", block_size=16, associativities=(1, 2), set_sizes=(1, 2, 4)
-            ).run(trace, chunk_size=chunk_size)
-            assert not pruned.diff(plain), chunk_size
 
     def test_lru_stack_matches_fully_associative_reference(self, mixed_trace):
         engine = get_engine("lru-stack", block_size=16, capacities=(1, 2, 4, 8))

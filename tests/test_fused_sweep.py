@@ -100,7 +100,8 @@ class TestRunBlockRunsOracle:
         raw = DewSimulator(8, associativity, (1, 2, 4, 8), **options)
         raw.run(trace, chunk_size=chunk_size)
         collapsed = DewSimulator(8, associativity, (1, 2, 4, 8), **options)
-        collapsed.run(trace, chunk_size=chunk_size, collapse=True)
+        for values, counts in trace.iter_block_runs(collapsed.tree.offset_bits, chunk_size):
+            collapsed.run_block_runs(values, counts)
         assert collapsed.counters.as_dict() == raw.counters.as_dict()
         assert not collapsed.results().diff(raw.results())
         assert collapsed.results().as_rows() == raw.results().as_rows()
@@ -313,7 +314,7 @@ class TestMixedEngineSweeps:
 
 
 class TestLruRunLengthOracle:
-    """Janapsatya/CRCB run consumption must be byte-identical to the raw walk.
+    """Janapsatya run consumption must be byte-identical to the raw walk.
 
     Same oracle pattern as the DEW collapse: replay the identical access
     stream once through ``run_blocks`` on raw chunks and once through
@@ -354,29 +355,9 @@ class TestLruRunLengthOracle:
             runs.simulator.counters.as_dict() == raw.simulator.counters.as_dict()
         )
 
-    @given(
-        addresses=st.lists(st.integers(min_value=0, max_value=255), max_size=150),
-        chunk_size=st.integers(min_value=1, max_value=64),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_crcb_runs_match_raw(self, addresses, chunk_size):
-        trace = Trace(addresses) if addresses else Trace.empty()
-        kwargs = dict(block_size=8, associativities=(1, 2, 4), set_sizes=(1, 2, 4, 8))
-        raw = get_engine("janapsatya-crcb", **kwargs)
-        runs = get_engine("janapsatya-crcb", **kwargs)
-        raw_results = self._drive_raw(raw, trace, chunk_size)
-        runs_results = self._drive_runs(runs, trace, chunk_size)
-        assert runs_results.as_rows() == raw_results.as_rows()
-        assert (
-            runs.simulator.counters.as_dict() == raw.simulator.counters.as_dict()
-        )
-
     def test_lru_engines_advertise_run_support(self):
         jan = get_engine("janapsatya", block_size=8, associativities=(2,), set_sizes=(1, 2))
-        crcb = get_engine(
-            "janapsatya-crcb", block_size=8, associativities=(2,), set_sizes=(1, 2)
-        )
-        assert jan.supports_block_runs and crcb.supports_block_runs
+        assert jan.supports_block_runs
 
     def test_single_block_trace_lru(self):
         """One long run: one walk plus pure bulk MRU-hit accounting."""
@@ -389,16 +370,6 @@ class TestLruRunLengthOracle:
         assert runs.counters.as_dict() == raw.counters.as_dict()
         assert runs.results().as_rows() == raw.results().as_rows()
 
-    def test_crcb_run_split_across_chunks(self):
-        """The chunk-boundary carry prunes a run head equal to the last block."""
-        kwargs = dict(block_size=4, associativities=(1, 2), set_sizes=(1, 2))
-        whole = get_engine("janapsatya-crcb", **kwargs)
-        split = get_engine("janapsatya-crcb", **kwargs)
-        whole.run_block_runs([3, 5], [4, 2])
-        split.run_block_runs([3], [2])
-        split.run_block_runs([3, 5], [2, 2])
-        assert split.finalize().as_rows() == whole.finalize().as_rows()
-
     def test_lru_run_validation(self):
         from repro.errors import SimulationError
         from repro.lru.janapsatya import JanapsatyaSimulator
@@ -408,10 +379,3 @@ class TestLruRunLengthOracle:
             simulator.run_block_runs([1, 2], [3])
         with pytest.raises(SimulationError, match="positive"):
             simulator.run_block_runs([1, 2], [1, 0])
-        crcb = get_engine(
-            "janapsatya-crcb", block_size=8, associativities=(1,), set_sizes=(1, 2)
-        )
-        with pytest.raises(SimulationError, match="mismatch"):
-            crcb.run_block_runs([1, 2], [3])
-        with pytest.raises(SimulationError, match="positive"):
-            crcb.run_block_runs([1, 2], [1, 0])

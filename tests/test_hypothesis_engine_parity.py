@@ -58,13 +58,12 @@ def test_dew_engine_matches_reference(addresses, block_size_log2, associativity,
     block_size_log2=st.integers(min_value=0, max_value=4),
     levels=st.integers(min_value=1, max_value=4),
     chunk_size=CHUNK_SIZES,
-    engine_name=st.sampled_from(["janapsatya", "janapsatya-crcb"]),
 )
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_lru_family_engines_match_reference(addresses, block_size_log2, levels, chunk_size, engine_name):
+def test_lru_family_engines_match_reference(addresses, block_size_log2, levels, chunk_size):
     trace = Trace(addresses, name="random")
     engine = get_engine(
-        engine_name,
+        "janapsatya",
         block_size=1 << block_size_log2,
         associativities=(1, 2, 4),
         set_sizes=tuple(2**i for i in range(levels)),

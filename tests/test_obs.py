@@ -366,7 +366,10 @@ class TestFleetMetrics:
         daemon = ServiceDaemon(root, daemon_id="sock1", poll_interval=0.01)
         import threading
 
-        thread = threading.Thread(target=daemon.run, kwargs={"drain": True})
+        # Not drain mode: a draining daemon closes its socket as soon as the
+        # one small job is done, which on an idle host can happen before the
+        # first connection attempt.  The ``finally`` below stops the daemon.
+        thread = threading.Thread(target=daemon.run)
         thread.start()
         try:
             deadline = 50
